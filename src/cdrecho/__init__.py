@@ -17,7 +17,6 @@ from .ensemble import (
     detect_echoes,
     predict_echo_times,
     simulate_ensemble,
-    simulate_polarization,
     time_grid,
 )
 from .integrator import DriveSample, integrate_sequence, rhs, rk4_step
@@ -108,7 +107,6 @@ __all__ = [
     "run_sweep",
     "serialize_sequence_file",
     "simulate_ensemble",
-    "simulate_polarization",
     "stage_chain",
     "time_grid",
     "validate",

@@ -8,6 +8,12 @@ optical phase slope is +1 per unit time, every odd-pi optical pulse negates
 the accumulated phase, and the phase stands still while the coherence is
 shelved on the spin level between the two control pulses.
 
+One exact engine serves hard and square pulses alike: the drive is piecewise
+constant, so every stretch is a closed-form 3x3 propagator batched over the
+comb (a phase rotation between pulses, a rotation for a hard pulse, one
+eigendecomposition per square pulse). The `engine` name only states which
+pulses a sequence may hold; the RK4 integrator is the independent oracle.
+
 Sign convention: Im P < 0 is an absorptive signal, Im P > 0 emissive.
 """
 
@@ -15,12 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
-from .integrator import _rhs_elements
-from .states import AtomParams, Channel, DensityMatrix, PulseSequence
+from .states import AtomParams, Channel, Pulse, PulseSequence
 from .unitary import pulse_unitary
 
 __all__ = [
@@ -34,7 +38,6 @@ __all__ = [
     "build_ensemble",
     "time_grid",
     "simulate_ensemble",
-    "simulate_polarization",
     "predict_echo_times",
     "detect_echoes",
 ]
@@ -83,7 +86,11 @@ def _grid(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def time_grid(t_end: float, dt: float) -> np.ndarray:
-    """Uniform sample times 0..t_end inclusive with step dt."""
+    """Uniform sample times from 0 in n = max(1, round(t_end/dt)) steps of dt.
+
+    The grid is not stretched onto t_end: its last sample n*dt lies within
+    dt/2 of t_end (for t_end >= dt/2; a shorter window still gets one step).
+    """
     if dt <= 0 or t_end < 0:
         raise ValueError("need dt > 0 and t_end >= 0")
     n = max(1, round(t_end / dt))
@@ -142,14 +149,32 @@ class EchoReport:
         return tuple(e for e in self.events if e.label == label)
 
 
-def _hard_trace(
+def _square_eigen(
+    p: Pulse, deltas: np.ndarray, delta_s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the constant, real-symmetric Hamiltonian of a square pulse,
+    H = diag(0, delta, delta_s) - (Omega/2) coupling, batched over the comb."""
+    h = np.zeros((deltas.size, 3, 3))
+    h[:, 1, 1] = deltas
+    h[:, 2, 2] = delta_s
+    a, b = (0, 1) if p.channel is Channel.OPTICAL12 else (1, 2)
+    h[:, a, b] = h[:, b, a] = -0.5 * p.rabi_frequency
+    return np.linalg.eigh(h)
+
+
+def _trace(
     seq: PulseSequence,
     deltas: np.ndarray,
     delta_s: np.ndarray,
     weights: np.ndarray,
     times: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Piecewise-exact evolution of the whole comb through a hard sequence."""
+    """Exact piecewise evolution of the whole comb through hard and square pulses.
+
+    Free stretches are diagonal phase rotations, hard pulses are pulse_unitary
+    rotations, and a square pulse is U(tau) = V exp(-i w tau) V^T from one
+    eigendecomposition of its constant Hamiltonian.
+    """
     n = deltas.size
     n_t = times.size
     rho = np.zeros((n, 3, 3), dtype=complex)
@@ -172,6 +197,18 @@ def _hard_trace(
             pops[idx:j] = weights @ rho[:, diag[0], diag[1]].real
             idx = j
 
+    def emit_driven(limit: float, v: np.ndarray, r: np.ndarray, beat: np.ndarray):
+        # mean rho_ab(tau) = sum_n w_n sum_kl v_ak v_bl r_kl exp(-i beat_kl tau)
+        nonlocal idx
+        j = int(np.searchsorted(times, limit, side="left"))
+        if j > idx:
+            coef = np.einsum("n,nak,nbl,nkl->nklab", weights, v, v, r).reshape(-1, 9)
+            phase = np.exp(-1j * np.outer(times[idx:j] - now, beat))
+            mean = (phase @ coef).reshape(-1, 3, 3)
+            pol[idx:j] = mean[:, 0, 1]
+            pops[idx:j] = mean[:, diag[0], diag[1]].real
+            idx = j
+
     for p in seq.pulses:
         emit_before(p.t_start)
         gap = p.t_start - now
@@ -179,82 +216,18 @@ def _hard_trace(
             u = np.exp(-1j * lam * gap)
             rho = u[:, :, None] * rho * np.conj(u)[:, None, :]
         now = p.t_start
-        full = pulse_unitary(p.channel, p.area)
-        rho = np.einsum("ab,nbc,dc->nad", full, rho, np.conj(full))
+        if p.is_hard:
+            full = pulse_unitary(p.channel, p.area)
+            rho = np.einsum("ab,nbc,dc->nad", full, rho, np.conj(full))
+        else:
+            w, v = _square_eigen(p, deltas, delta_s)
+            vt = np.swapaxes(v, 1, 2)
+            r = vt @ rho @ v  # the state in the pulse's eigenbasis
+            beat = w[:, :, None] - w[:, None, :]
+            emit_driven(p.t_end, v, r, beat)
+            rho = v @ (r * np.exp(-1j * beat * p.duration)) @ vt
+        now = p.t_end
     emit_before(np.inf)
-    return pol, pops
-
-
-def _ode_trace(
-    seq: PulseSequence,
-    deltas: np.ndarray,
-    delta_s: np.ndarray,
-    weights: np.ndarray,
-    times: np.ndarray,
-    ode_dt: float | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched RK4 evolution of the comb through a finite-duration sequence."""
-    durations = [p.duration for p in seq.pulses]
-    if any(d == 0.0 for d in durations):
-        raise ValueError("ode engine requires finite pulse durations")
-    if ode_dt is None:
-        ode_dt = math.inf
-        if durations:
-            ode_dt = min(ode_dt, min(durations) / 200.0)
-        dmax = float(np.abs(deltas).max(initial=0.0))
-        if dmax > 0:
-            ode_dt = min(ode_dt, 0.02 / dmax)
-        if not math.isfinite(ode_dt):
-            ode_dt = times[-1] / 1000.0 if times[-1] > 0 else 1.0
-    if ode_dt <= 0:
-        raise ValueError("ode_dt must be positive")
-
-    n = deltas.size
-    rho = np.zeros((n, 3, 3), dtype=complex)
-    rho[:, 0, 0] = 1.0
-    batch = SimpleNamespace(delta=deltas, delta_s=delta_s, gamma=(0.0, 0.0, 0.0))
-    diag = (np.arange(3), np.arange(3))
-
-    edges = {0.0, float(times[-1])}
-    for p in seq.pulses:
-        edges.add(p.t_start)
-        edges.add(p.t_end)
-    cuts = sorted(e for e in edges if e <= times[-1] + 1e-30)
-    checkpoints = np.unique(np.concatenate([times, np.array(cuts)]))
-
-    def drive_at(t: float):
-        oj = ok = 0.0
-        for p in seq.pulses:
-            if p.t_start <= t < p.t_end:
-                if p.channel is Channel.OPTICAL12:
-                    oj = p.rabi_frequency
-                else:
-                    ok = p.rabi_frequency
-        return SimpleNamespace(omega_j=oj, omega_k=ok)
-
-    pol = np.empty(times.size, dtype=complex)
-    pops = np.empty((times.size, 3))
-    idx = 0
-    now = checkpoints[0]
-    for target in checkpoints:
-        span = target - now
-        if span > 0:
-            drive = drive_at(now + 0.5 * span)
-            steps = max(1, math.ceil(span / ode_dt - 1e-9))
-            h = span / steps
-            for _ in range(steps):
-                k1 = _rhs_elements(rho, drive, batch)
-                k2 = _rhs_elements(rho + 0.5 * h * k1, drive, batch)
-                k3 = _rhs_elements(rho + 0.5 * h * k2, drive, batch)
-                k4 = _rhs_elements(rho + h * k3, drive, batch)
-                rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                rho = 0.5 * (rho + np.conj(np.swapaxes(rho, -1, -2)))
-            now = target
-        # every sample time is itself a checkpoint, so emit on exact arrival
-        while idx < times.size and times[idx] <= target:
-            pol[idx] = np.sum(weights * rho[:, 0, 1])
-            pops[idx] = weights @ rho[:, diag[0], diag[1]].real
-            idx += 1
     return pol, pops
 
 
@@ -263,13 +236,12 @@ def simulate_ensemble(
     spec: EnsembleSpec,
     times: np.ndarray,
     engine: str = "hard",
-    ode_dt: float | None = None,
 ) -> EnsembleTrace:
     """Sample P(t) and mean populations for the whole comb.
 
     engine="hard" treats every pulse as an instantaneous rotation (requires
-    zero durations); engine="ode" integrates square envelopes with RK4
-    (requires finite durations).
+    zero durations); engine="ode" propagates square envelopes exactly
+    (requires finite durations). Both run the same piecewise-exact trace.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -281,11 +253,12 @@ def simulate_ensemble(
     if engine == "hard":
         if any(not p.is_hard for p in seq.pulses):
             raise ValueError("hard engine requires zero-duration pulses")
-        pol, pops = _hard_trace(seq, deltas, delta_s, weights, times)
     elif engine == "ode":
-        pol, pops = _ode_trace(seq, deltas, delta_s, weights, times, ode_dt)
+        if any(p.is_hard for p in seq.pulses):
+            raise ValueError("ode engine requires finite pulse durations")
     else:
         raise ValueError(f"unknown engine {engine!r}")
+    pol, pops = _trace(seq, deltas, delta_s, weights, times)
     return EnsembleTrace(
         times=times,
         polarization=pol,
@@ -293,17 +266,6 @@ def simulate_ensemble(
         pop_excited=pops[:, 1],
         pop_spin=pops[:, 2],
     )
-
-
-def simulate_polarization(
-    seq: PulseSequence,
-    spec: EnsembleSpec,
-    times: np.ndarray,
-    engine: str = "hard",
-    ode_dt: float | None = None,
-) -> np.ndarray:
-    """Complex ensemble polarization P(t) on the given sample times."""
-    return simulate_ensemble(seq, spec, times, engine, ode_dt).polarization
 
 
 def _is_odd_pi(area: float) -> bool:
@@ -370,8 +332,10 @@ def detect_echoes(
     A sample is a peak if it tops both neighbors (ties broken leftward),
     clears threshold_fraction of the largest out-of-pulse |P|, and sits more
     than one grid step from every pulse interval. Peaks within three grid
-    steps of a ledger prediction are labeled E1/E2 by prediction order,
-    anything else "other". im_sign is the sign of Im P at the peak.
+    steps plus the longest pulse duration of a ledger prediction are labeled
+    E1/E2 by prediction order, anything else "other"; the ledger counts from
+    pulse centres, so finite pulses shift echoes by up to about a duration.
+    im_sign is the sign of Im P at the peak.
     """
     times = np.asarray(times, dtype=float)
     pol = np.asarray(polarization, dtype=complex)
@@ -398,6 +362,7 @@ def detect_echoes(
     thr = threshold_fraction * ref
 
     predicted = predict_echo_times(seq)
+    window = 3.0 * dt + max((p.duration for p in seq.pulses), default=0.0) + 1e-12
     events = []
     for i in range(1, times.size - 1):
         if excluded[i] or mag[i] < thr:
@@ -407,7 +372,7 @@ def detect_echoes(
         label = "other"
         if predicted:
             j = int(np.argmin([abs(t - times[i]) for t in predicted]))
-            if abs(predicted[j] - times[i]) <= 3.0 * dt + 1e-12:
+            if abs(predicted[j] - times[i]) <= window:
                 label = "E1" if j == 0 else ("E2" if j == 1 else "other")
         im = pol[i].imag
         events.append(

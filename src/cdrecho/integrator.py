@@ -4,7 +4,9 @@ The right-hand side is written out element by element from the rate
 equations rather than assembled as a matrix commutator, so tests can pin it
 against an independently built commutator oracle. Fixed-step classical RK4
 keeps trajectories bit-reproducible across runs; adaptive steppers are
-deliberately not used.
+deliberately not used. With no decay a square pulse has an exact propagator,
+which the ensemble engine uses; RK4 stays as the independent oracle that
+verify and the tests check the exact routes against.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ import json
 import math
 
 from .ensemble import DEFAULT_N_ATOMS, DEFAULT_SIGMA, DEFAULT_SPAN, EnsembleSpec
-from .states import Channel, Pulse, PulseSequence
+from .states import Channel, Pulse, PulseOverlapError, PulseSequence
 
 __all__ = [
     "GridConfig",
@@ -157,9 +157,10 @@ def parse_sequence_file(text: str) -> tuple[PulseSequence, EnsembleSpec, GridCon
     try:
         grid = GridConfig(t_end=t_end, dt=dt)
         seq = PulseSequence(pulses=tuple(pulses), t_end=t_end)
+    except PulseOverlapError as exc:
+        raise SequenceFileError("OVERLAPPING_PULSES", str(exc)) from exc
     except ValueError as exc:
-        code = "OVERLAPPING_PULSES" if "overlap" in str(exc) else "INVALID_VALUE"
-        raise SequenceFileError(code, str(exc)) from exc
+        raise SequenceFileError("INVALID_VALUE", str(exc)) from exc
     return seq, spec, grid
 
 

@@ -20,6 +20,7 @@ __all__ = [
     "DensityMatrix",
     "Pulse",
     "PulseSequence",
+    "PulseOverlapError",
     "AtomParams",
     "ValidationReport",
     "Violation",
@@ -189,6 +190,10 @@ class Pulse:
         return self.area / self.duration
 
 
+class PulseOverlapError(ValueError):
+    """A pulse starts before the previous one has ended."""
+
+
 @dataclass(frozen=True)
 class PulseSequence:
     """Time-ordered pulses plus the simulation window [0, t_end]."""
@@ -206,7 +211,7 @@ class PulseSequence:
             if b.t_start < a.t_start:
                 raise ValueError("pulses must be sorted by t_start")
             if b.t_start < a.t_end:
-                raise ValueError(
+                raise PulseOverlapError(
                     f"pulses overlap: one ends at {a.t_end}, next starts at {b.t_start}"
                 )
         if not math.isfinite(self.t_end):

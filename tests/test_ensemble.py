@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cdrecho import (
     Channel,
@@ -12,9 +14,10 @@ from cdrecho import (
     PulseSequence,
     build_ensemble,
     detect_echoes,
+    ground_state,
+    integrate_sequence,
     predict_echo_times,
     simulate_ensemble,
-    simulate_polarization,
     time_grid,
 )
 
@@ -105,6 +108,23 @@ class TestTimeGrid:
         g = time_grid(1.04e-5, 1e-6)
         assert g.size == 11
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        t_end=st.floats(min_value=0.0, max_value=1e-3),
+        dt=st.floats(min_value=1e-9, max_value=1e-4),
+    )
+    def test_whole_steps_end_within_half_a_step(self, t_end, dt):
+        assume(t_end / dt <= 1e5)
+        g = time_grid(t_end, dt)
+        n = max(1, round(t_end / dt))
+        assert g.size == n + 1
+        assert g[0] == 0.0
+        np.testing.assert_allclose(np.diff(g), dt, rtol=1e-9)
+        if t_end >= 0.5 * dt:
+            assert abs(g[-1] - t_end) <= 0.5 * dt * (1 + 1e-9)
+        else:
+            assert g[-1] == dt
+
     def test_validation(self):
         with pytest.raises(ValueError):
             time_grid(1.0, 0.0)
@@ -118,7 +138,7 @@ class TestTwoPulseEcho:
     def test_fid_collapses_after_data_pulse(self):
         seq = hard_seq((Channel.OPTICAL12, 0.1 * PI, 0.0), t_end=0.4 * US)
         times = time_grid(0.4 * US, 0.002 * US)
-        pol = simulate_polarization(seq, self.SPEC, times)
+        pol = simulate_ensemble(seq, self.SPEC, times).polarization
         mag = np.abs(pol)
         assert mag[0] == pytest.approx(SIN_WEAK_HALF, abs=1e-12)
         assert np.all(np.diff(mag) < 0)
@@ -138,9 +158,9 @@ class TestTwoPulseEcho:
     def test_echo_amplitude_and_phase_exact_at_refocus(self):
         # every comb member realigns exactly at 2 tau
         tau = 10 * US
-        pol = simulate_polarization(
+        pol = simulate_ensemble(
             two_pulse_seq(tau=tau), self.SPEC, np.array([2 * tau])
-        )
+        ).polarization
         assert pol[0].real == pytest.approx(0.0, abs=1e-12)
         assert pol[0].imag == pytest.approx(SIN_WEAK_HALF, abs=1e-9)
 
@@ -153,7 +173,7 @@ class TestTwoPulseEcho:
         spacing = 2 * spec.span * spec.sigma / (spec.n_atoms - 1)
         t_rev = 2 * PI / spacing
         assert t_rev == pytest.approx(20 * US, rel=1e-12)
-        pol = simulate_polarization(seq, spec, np.array([t_rev]))
+        pol = simulate_ensemble(seq, spec, np.array([t_rev])).polarization
         assert abs(pol[0]) > 0.9 * SIN_WEAK_HALF
 
 
@@ -216,7 +236,7 @@ class TestProtocolEchoes:
         assert e2 < g2
 
     def test_real_part_stays_zero(self):
-        pol = simulate_polarization(cdr_seq(), self.SPEC, self.TIMES)
+        pol = simulate_ensemble(cdr_seq(), self.SPEC, self.TIMES).polarization
         assert np.max(np.abs(pol.real)) <= 1e-12
 
 
@@ -317,11 +337,51 @@ class TestDetectEchoes:
         with pytest.raises(ValueError):
             detect_echoes(times, np.zeros_like(times, dtype=complex), seq, 1.5)
 
+    def test_finite_pulse_echo_off_ledger_is_still_labeled(self):
+        # the centre-based ledger puts E2 at 8.06 us; with 0.2 us pulses the
+        # peak lands at 8.13 us, seven steps away, and must still read E2
+        width = 0.2 * US
+        seq = PulseSequence(
+            pulses=tuple(
+                Pulse(ch, area, t * US, duration=width)
+                for ch, area, t in (
+                    (Channel.OPTICAL12, 0.1 * PI, 0.0),
+                    (Channel.OPTICAL12, PI, 1.8),
+                    (Channel.CONTROL23, PI, 2.3),
+                    (Channel.CONTROL23, PI, 3.5),
+                    (Channel.OPTICAL12, PI, 6.38),
+                )
+            ),
+            t_end=9 * US,
+        )
+        spec = EnsembleSpec(sigma=2 * PI * 0.6e6, n_atoms=61, span=4.0)
+        times = time_grid(9 * US, 0.01 * US)
+        pol = simulate_ensemble(seq, spec, times, engine="ode").polarization
+        assert predict_echo_times(seq) == pytest.approx([4.9 * US, 8.06 * US])
+        report = detect_echoes(times, pol, seq)
+        (e1,) = report.labeled("E1")
+        (e2,) = report.labeled("E2")
+        assert e1.time == pytest.approx(4.9 * US, abs=0.005 * US)
+        assert e2.time == pytest.approx(8.13 * US, abs=0.005 * US)
+        assert (e1.im_sign, e2.im_sign) == (-1, 1)
+
     def test_flat_signal_reports_nothing(self):
         seq = two_pulse_seq(tau=4 * US, t_end=10 * US)
         times = time_grid(10 * US, 0.01 * US)
         report = detect_echoes(times, np.zeros_like(times, dtype=complex), seq)
         assert report.events == ()
+
+
+def rk4_ensemble(seq, spec, dt, stride):
+    """Weighted sum of per-atom RK4 trajectories: sample times and P(t)."""
+    times = pol = None
+    for atom, weight in build_ensemble(spec):
+        traj = integrate_sequence(ground_state(), seq, atom, dt, sample_stride=stride)
+        if times is None:
+            times = np.array([t for t, _ in traj])
+            pol = np.zeros(times.size, dtype=complex)
+        pol += weight * np.array([rho.elements[0, 1] for _, rho in traj])
+    return times, pol
 
 
 class TestOdeEngine:
@@ -343,7 +403,7 @@ class TestOdeEngine:
             t_end=0.8 * US,
         )
         times = np.array([0.0, 0.1, 0.35, 0.45, 0.7, 0.8]) * US
-        a = simulate_ensemble(finite, spec, times, engine="ode", ode_dt=0.5e-9)
+        a = simulate_ensemble(finite, spec, times, engine="ode")
         b = simulate_ensemble(hard, spec, times, engine="hard")
         np.testing.assert_allclose(a.polarization, b.polarization, atol=1e-8)
         for name in ("pop_ground", "pop_excited", "pop_spin"):
@@ -360,15 +420,47 @@ class TestOdeEngine:
             t_end=1.0 * US,
         )
         times = time_grid(1.0 * US, 0.0025 * US)
-        coarse = simulate_polarization(seq, spec, times, engine="ode", ode_dt=2e-9)
-        fine = simulate_polarization(seq, spec, times, engine="ode", ode_dt=1e-9)
-        assert np.max(np.abs(coarse - fine)) <= 1e-6
-
-        report = detect_echoes(times, fine, seq)
+        pol = simulate_ensemble(seq, spec, times, engine="ode").polarization
+        report = detect_echoes(times, pol, seq)
         echoes = report.labeled("E1")
         assert len(echoes) == 1
         assert echoes[0].time == pytest.approx(0.75 * US, abs=0.01 * US)
         assert echoes[0].im_sign == 1
+
+        # the RK4 oracle, atom by atom, on a coarser comb of the same line;
+        # a stride of 5 steps lands it on the 2.5 ns sample grid
+        small = EnsembleSpec(sigma=spec.sigma, n_atoms=9, span=spec.span)
+        t_rk4, p_rk4 = rk4_ensemble(seq, small, dt=width / 100, stride=5)
+        np.testing.assert_allclose(t_rk4, times, rtol=0, atol=1e-15)
+        exact = simulate_ensemble(seq, small, times, engine="ode").polarization
+        assert np.max(np.abs(exact - p_rk4)) <= 1e-6
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        pulses=st.lists(
+            st.tuples(
+                st.sampled_from(list(Channel)),
+                st.floats(min_value=0.1, max_value=1.5),  # area / pi
+                st.floats(min_value=0.1, max_value=0.2),  # duration, us
+                st.floats(min_value=0.0, max_value=0.1),  # gap before, us
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_random_square_pulses_match_rk4_oracle(self, pulses):
+        spec = EnsembleSpec(sigma=2 * PI * 1e6, n_atoms=3, span=2.0)
+        built = []
+        for channel, area, width, gap in pulses:
+            start = built[-1].t_end + gap * US if built else gap * US
+            built.append(Pulse(channel, area * PI, start, duration=width * US))
+        seq = PulseSequence(pulses=tuple(built), t_end=built[-1].t_end + 0.1 * US)
+        dt = min(p.duration for p in built) / 100
+        t_rk4, p_rk4 = rk4_ensemble(seq, spec, dt=dt, stride=10)
+        trace = simulate_ensemble(seq, spec, t_rk4, engine="ode")
+        assert np.max(np.abs(trace.polarization - p_rk4)) <= 1e-6
+        total = trace.pop_ground + trace.pop_excited + trace.pop_spin
+        assert np.max(np.abs(total - 1.0)) <= 1e-12
 
     def test_engine_argument_validation(self):
         spec = EnsembleSpec(n_atoms=5)

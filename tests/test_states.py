@@ -19,6 +19,7 @@ from cdrecho import (
     purity,
     validate,
 )
+from cdrecho.states import PulseOverlapError
 
 
 def random_valid_state(rng) -> DensityMatrix:
@@ -175,7 +176,7 @@ class TestPulseTypes:
             Pulse(Channel.OPTICAL12, math.pi, 0.0, duration=2.0),
             Pulse(Channel.CONTROL23, math.pi, 1.0, duration=2.0),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(PulseOverlapError):
             PulseSequence(pulses=pulses, t_end=4.0)
 
     def test_t_end_before_last_pulse_rejected(self):
