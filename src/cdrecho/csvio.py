@@ -14,6 +14,8 @@ import numpy as np
 
 __all__ = ["Table", "CsvWriteError", "format_float", "render_csv", "write_csv"]
 
+_CELL = "%.12g"
+
 
 class CsvWriteError(ValueError):
     """Serialization failure with a machine-readable code."""
@@ -27,7 +29,7 @@ def format_float(x: float) -> str:
     """12-significant-digit decimal form; rejects NaN and infinities."""
     if not math.isfinite(x):
         raise CsvWriteError("NON_FINITE_VALUE", f"refusing to serialize {x!r}")
-    return f"{x:.12g}"
+    return _CELL % x
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,12 @@ def render_csv(table: Table) -> str:
     if table.meta:
         lines.append("# " + " ".join(f"{k}={v}" for k, v in table.meta))
     lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(format_float(x) for x in row))
+    rows = table.rows
+    bad = rows[~np.isfinite(rows)]
+    if bad.size:
+        format_float(bad[0])  # raises NON_FINITE_VALUE for the first, in row order
+    row_format = ",".join([_CELL] * rows.shape[1])
+    lines.extend(row_format % tuple(row) for row in rows.tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -162,6 +162,40 @@ def _square_eigen(
     return np.linalg.eigh(h)
 
 
+_TABLE_GAP_RAD = 1e-10  # largest phase error a shared in-block table may add
+
+
+def _phase_sum(tau: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """S[k, q] = sum_m c[m, q] exp(i tau_k f_m) over increasing tau, in bounded memory.
+
+    Samples go in blocks of B = ceil(sqrt(n)). With tau_k = base_b + off_r the
+    phase factors into a per-block column exp(i base_b f) c and an in-block
+    table exp(i off_r f), so the blocks that share a table take one matrix
+    product. The first block's table serves every block whose offsets match
+    its own to within _TABLE_GAP_RAD of phase, as on any uniform grid; any
+    other block builds its own. On a uniform grid that is O(sqrt(n) len(f))
+    exponentials in place of n len(f); memory is O(sqrt(n) len(f) q) for any tau.
+    """
+    n = tau.size
+    size = math.isqrt(n - 1) + 1
+    n_blocks = -(-n // size)
+    base = tau[::size]
+    ref = tau[:size] - tau[0]
+    offs = np.tile(ref, (n_blocks, 1))  # a short last block is padded with ref
+    offs.flat[:n] = tau - np.repeat(base, size)[:n]
+    gap = np.abs(offs - ref).max(axis=1) * np.abs(f).max(initial=0.0)
+    fits = gap <= _TABLE_GAP_RAD
+    groups = [(ref, np.flatnonzero(fits))]
+    groups += [(offs[b], [b]) for b in np.flatnonzero(~fits)]
+    out = np.empty((n_blocks, size, c.shape[1]), dtype=complex)
+    for off, blocks in groups:
+        table = np.exp(1j * np.multiply.outer(off, f))
+        cols = np.exp(1j * np.multiply.outer(f, base[blocks]))[:, :, None] * c[:, None]
+        part = table @ cols.reshape(f.size, -1)
+        out[blocks] = part.reshape(size, len(blocks), -1).swapaxes(0, 1)
+    return out.reshape(n_blocks * size, -1)[:n]
+
+
 def _trace(
     seq: PulseSequence,
     deltas: np.ndarray,
@@ -191,9 +225,8 @@ def _trace(
         nonlocal idx
         j = int(np.searchsorted(times, limit, side="left"))
         if j > idx:
-            span = times[idx:j] - now
-            phase = np.exp(1j * np.outer(span, deltas))  # rho12 advances at +delta
-            pol[idx:j] = phase @ (weights * rho[:, 0, 1])
+            coef = (weights * rho[:, 0, 1])[:, None]  # rho12 advances at +delta
+            pol[idx:j] = _phase_sum(times[idx:j] - now, deltas, coef)[:, 0]
             pops[idx:j] = weights @ rho[:, diag[0], diag[1]].real
             idx = j
 
@@ -203,8 +236,7 @@ def _trace(
         j = int(np.searchsorted(times, limit, side="left"))
         if j > idx:
             coef = np.einsum("n,nak,nbl,nkl->nklab", weights, v, v, r).reshape(-1, 9)
-            phase = np.exp(-1j * np.outer(times[idx:j] - now, beat))
-            mean = (phase @ coef).reshape(-1, 3, 3)
+            mean = _phase_sum(times[idx:j] - now, -beat.ravel(), coef).reshape(-1, 3, 3)
             pol[idx:j] = mean[:, 0, 1]
             pops[idx:j] = mean[:, diag[0], diag[1]].real
             idx = j
@@ -363,24 +395,23 @@ def detect_echoes(
 
     predicted = predict_echo_times(seq)
     window = 3.0 * dt + max((p.duration for p in seq.pulses), default=0.0) + 1e-12
-    events = []
-    for i in range(1, times.size - 1):
-        if excluded[i] or mag[i] < thr:
-            continue
-        if not (mag[i] > mag[i - 1] and mag[i] >= mag[i + 1]):
-            continue
-        label = "other"
-        if predicted:
-            j = int(np.argmin([abs(t - times[i]) for t in predicted]))
-            if abs(predicted[j] - times[i]) <= window:
-                label = "E1" if j == 0 else ("E2" if j == 1 else "other")
-        im = pol[i].imag
-        events.append(
-            EchoEvent(
-                time=float(times[i]),
-                amplitude=float(mag[i]),
-                im_sign=1 if im >= 0 else -1,
-                label=label,
-            )
+    mid = mag[1:-1]
+    is_peak = ~excluded[1:-1] & (mid >= thr) & (mid > mag[:-2]) & (mid >= mag[2:])
+    peaks = np.flatnonzero(is_peak) + 1
+    labels = np.full(peaks.size, "other", dtype=object)
+    if predicted:
+        dist = np.abs(np.subtract.outer(times[peaks], predicted))
+        j = dist.argmin(axis=1)  # the earlier prediction wins a tie
+        near = dist[np.arange(peaks.size), j] <= window
+        labels[near & (j == 0)] = "E1"
+        labels[near & (j == 1)] = "E2"
+    events = [
+        EchoEvent(
+            time=float(times[i]),
+            amplitude=float(mag[i]),
+            im_sign=1 if pol[i].imag >= 0 else -1,
+            label=label,
         )
+        for i, label in zip(peaks, labels)
+    ]
     return EchoReport(tuple(events), times, pol)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdrecho import CsvWriteError, Table, format_float, render_csv, write_csv
 
@@ -82,6 +84,32 @@ class TestRenderCsv:
         t = Table(columns=("x",), rows=np.array([[math.inf]]))
         with pytest.raises(CsvWriteError):
             render_csv(t)
+
+    def test_first_non_finite_cell_in_row_order_is_named(self):
+        rows = np.array([[1.0, -math.inf], [math.nan, 2.0]])
+        t = Table(columns=("x", "y"), rows=rows)
+        with pytest.raises(CsvWriteError, match="-inf") as exc_info:
+            render_csv(t)
+        assert exc_info.value.code == "NON_FINITE_VALUE"
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        columns=st.integers(min_value=1, max_value=6),
+        cells=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1e-300, -5e-324, 1e20, -1e-20, 1.7e308]),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_rows_render_as_per_cell_format_float(self, columns, cells):
+        cells = cells[: len(cells) // columns * columns]
+        rows = np.array(cells, dtype=float).reshape(-1, columns)
+        t = Table(columns=tuple(f"c{k}" for k in range(columns)), rows=rows)
+        want = [",".join(t.columns)]
+        want += [",".join(format_float(x) for x in row) for row in rows]
+        assert render_csv(t) == "\n".join(want) + "\n"
 
 
 class TestWriteCsv:

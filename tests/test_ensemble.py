@@ -1,10 +1,11 @@
 """Ensemble polarization traces, echo prediction and echo detection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cdrecho import (
@@ -20,6 +21,7 @@ from cdrecho import (
     simulate_ensemble,
     time_grid,
 )
+from cdrecho.ensemble import EchoEvent, _phase_sum
 
 PI = math.pi
 US = 1e-6
@@ -60,6 +62,36 @@ def cdr_seq():
         (Channel.OPTICAL12, PI, 30 * US),
         t_end=45 * US,
     )
+
+
+def detect_echoes_loop(times, pol, seq, threshold_fraction=0.2):
+    """Per-sample loop form of detect_echoes: the reference for the vectorized one."""
+    dt = float(np.median(np.diff(times)))
+    pad = dt * (1.0 + 1e-9)
+    excluded = np.zeros(times.size, dtype=bool)
+    for p in seq.pulses:
+        excluded |= (times >= p.t_start - pad) & (times <= p.t_end + pad)
+    mag = np.abs(pol)
+    open_mag = mag[~excluded]
+    if open_mag.size == 0 or open_mag.max() == 0.0:
+        return ()
+    thr = threshold_fraction * float(open_mag.max())
+    predicted = predict_echo_times(seq)
+    window = 3.0 * dt + max((p.duration for p in seq.pulses), default=0.0) + 1e-12
+    events = []
+    for i in range(1, times.size - 1):
+        if excluded[i] or mag[i] < thr:
+            continue
+        if not (mag[i] > mag[i - 1] and mag[i] >= mag[i + 1]):
+            continue
+        label = "other"
+        if predicted:
+            j = int(np.argmin([abs(t - times[i]) for t in predicted]))
+            if abs(predicted[j] - times[i]) <= window:
+                label = "E1" if j == 0 else ("E2" if j == 1 else "other")
+        im_sign = 1 if pol[i].imag >= 0 else -1
+        events.append(EchoEvent(float(times[i]), float(mag[i]), im_sign, label))
+    return tuple(events)
 
 
 class TestEnsembleSpec:
@@ -130,6 +162,80 @@ class TestTimeGrid:
             time_grid(1.0, 0.0)
         with pytest.raises(ValueError):
             time_grid(-1.0, 0.1)
+
+
+class TestPhaseSum:
+    """_phase_sum against the dense sum exp(1j * outer(tau, f)) @ c."""
+
+    @staticmethod
+    def check(tau, t_max, rng, n_freqs, columns):
+        # |t f| <= 1e3 rad over the absolute times up to t_max: grid rounding then
+        # moves a shared table's phases by at most ~4e-13 rad, and the dense
+        # oracle's own phases round to ~1e-13 rad
+        f = rng.uniform(-1.0, 1.0, n_freqs) * 1e3 / t_max
+        shape = (n_freqs, columns)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        dense = np.exp(1j * np.outer(tau, f)) @ c
+        got = _phase_sum(tau, f, c)
+        assert got.shape == dense.shape
+        scale = np.abs(c).sum(axis=0)  # the largest |S_k| any phases can give
+        assert np.all(np.abs(got - dense).max(axis=0) <= 1e-12 * scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=3000),
+        dt=st.floats(min_value=1e-10, max_value=1e-6),
+        first=st.integers(min_value=0, max_value=3000),
+        lag=st.floats(min_value=0.0, max_value=1.0),
+        n_freqs=st.integers(min_value=1, max_value=60),
+        columns=st.sampled_from([1, 9]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_time_grid_stretches_match_dense_sum(
+        self, n, dt, first, lag, n_freqs, columns, seed
+    ):
+        # a stretch times[first:] measured from an instant up to one step earlier,
+        # as the trace does after a pulse
+        times = time_grid((first + n) * dt, dt)[first:]
+        tau = times - max(times[0] - lag * dt, 0.0)
+        self.check(tau, times[-1], np.random.default_rng(seed), n_freqs, columns)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=3000),
+        n_freqs=st.integers(min_value=1, max_value=60),
+        columns=st.sampled_from([1, 9]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_non_uniform_times_match_dense_sum(self, n, n_freqs, columns, seed):
+        # blocks whose offsets differ from the first block's build their own table
+        rng = np.random.default_rng(seed)
+        tau = np.cumsum(rng.exponential(1e-8, n))
+        self.check(tau, tau[-1], rng, n_freqs, columns)
+
+    def test_wide_comb_trace_memory_is_bounded(self):
+        # 2001 atoms x 18001 samples: a dense phase matrix alone would be 576 MB
+        seq = hard_seq(
+            (Channel.OPTICAL12, 0.3 * PI, 1 * US),
+            (Channel.OPTICAL12, PI, 20 * US),
+            (Channel.CONTROL23, PI, 25 * US),
+            (Channel.CONTROL23, PI, 45 * US),
+            (Channel.OPTICAL12, PI, 95 * US),
+            t_end=180 * US,
+        )
+        spec = EnsembleSpec(n_atoms=2001)
+        times = time_grid(180 * US, 0.01 * US)
+        tracemalloc.start()
+        try:
+            trace = simulate_ensemble(seq, spec, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64e6
+        # the controlled second echo is emissive, at its exact height sin(0.3 pi) / 2
+        i = int(np.argmin(np.abs(times - predict_echo_times(seq)[1])))
+        want = 0.5j * math.sin(0.3 * PI)
+        assert trace.polarization[i] == pytest.approx(want, abs=1e-9)
 
 
 class TestTwoPulseEcho:
@@ -364,6 +470,38 @@ class TestDetectEchoes:
         assert e1.time == pytest.approx(4.9 * US, abs=0.005 * US)
         assert e2.time == pytest.approx(8.13 * US, abs=0.005 * US)
         assert (e1.im_sign, e2.im_sign) == (-1, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        levels=st.integers(min_value=2, max_value=6),
+        width=st.integers(min_value=0, max_value=40),
+        threshold=st.one_of(
+            st.floats(min_value=0.05, max_value=1.0),
+            st.sampled_from([0.2, 0.25, 0.5, 1.0]),
+        ),
+    )
+    # three predicted echoes, with peaks labelled E1, E2 and "other" beside the third
+    @example(seed=5, levels=3, width=10, threshold=0.5)
+    def test_matches_loop_reference(self, seed, levels, width, threshold):
+        rng = np.random.default_rng(seed)
+        dt = 0.01 * US
+        times = time_grid(10 * US, dt)
+        # few exact magnitude levels make plateaus and peaks right at the
+        # threshold, so the > left / >= right and >= threshold rules matter
+        mag = rng.integers(0, levels, times.size) / (levels - 1)
+        pol = mag * rng.choice([1, -1, 1j, -1j], times.size)
+        pulses, start = [], 0.0
+        # mostly odd-pi optical pulses, so that some runs predict three or more echoes
+        for k in range(int(rng.integers(1, 7))):
+            optical = k == 0 or rng.random() < 0.75
+            channel = Channel.OPTICAL12 if optical else Channel.CONTROL23
+            area = 0.1 * PI if k == 0 else float(rng.choice([PI, PI, 2 * PI, 3 * PI]))
+            pulses.append(Pulse(channel, area, start, duration=width * dt))
+            start = pulses[-1].t_end + int(rng.integers(1, 200)) * dt
+        seq = PulseSequence(pulses=tuple(pulses), t_end=max(10 * US, pulses[-1].t_end))
+        report = detect_echoes(times, pol, seq, threshold)
+        assert report.events == detect_echoes_loop(times, pol, seq, threshold)
 
     def test_flat_signal_reports_nothing(self):
         seq = two_pulse_seq(tau=4 * US, t_end=10 * US)
