@@ -4,8 +4,9 @@ Subcommands: figures (write all preset datasets), sweep (one custom area
 sweep), stages (closed-form pulse-by-pulse table), echo (ensemble trace and
 echo report from a sequence file), propagate (pulse-area attenuation),
 verify (cross-validation suite). Exit codes: 0 success, 1 verification
-failure, 2 usage error, 3 I/O error. Pulse-area options are in units of pi
-except propagate --phi0, which is radians.
+failure, 2 usage error, 3 I/O error, 4 numerical failure (a state turned
+non-finite). Pulse-area options are in units of pi except propagate --phi0,
+which is radians.
 """
 
 from __future__ import annotations
@@ -239,6 +240,9 @@ def cli_main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except FloatingPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

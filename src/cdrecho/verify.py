@@ -95,30 +95,9 @@ def check_control_recovery() -> Check:
     return Check("control-recovery", dev <= 1e-12, dev, 1e-12)
 
 
-def _hard_sequence(areas: StageAreas, starts: list[float], t_end: float) -> PulseSequence:
-    order = [
-        (Channel.OPTICAL12, areas.phi_d),
-        (Channel.OPTICAL12, areas.phi_r1),
-        (Channel.CONTROL23, areas.phi_c1),
-        (Channel.CONTROL23, areas.phi_c2),
-        (Channel.OPTICAL12, areas.phi_r2),
-    ]
-    pulses = tuple(
-        Pulse(channel=c, area=a, t_start=t) for (c, a), t in zip(order, starts)
-    )
-    return PulseSequence(pulses=pulses, t_end=t_end)
-
-
-def check_engine_agreement() -> Check:
-    """Closed forms, hard-pulse unitaries and RK4 give one final state."""
-    analytic = stage_chain(CANONICAL)[-1][1]
-    atom = AtomParams()
-
-    starts = [0.0, 2e-6, 4e-6, 6e-6, 8e-6]
-    hard = _hard_sequence(CANONICAL, starts, t_end=1e-5)
-    hard_final = run_sequence_hard(ground_state(), hard, atom)[-1][1]
-
-    duration = 1e-6
+def _canonical_sequence(duration: float) -> PulseSequence:
+    """The five CANONICAL pulses (data, r1, c1, c2, r2) starting 2 us apart
+    in a 10 us window; duration 0 gives hard pulses."""
     order = [
         (Channel.OPTICAL12, CANONICAL.phi_d),
         (Channel.OPTICAL12, CANONICAL.phi_r1),
@@ -126,14 +105,21 @@ def check_engine_agreement() -> Check:
         (Channel.CONTROL23, CANONICAL.phi_c2),
         (Channel.OPTICAL12, CANONICAL.phi_r2),
     ]
-    finite = PulseSequence(
-        pulses=tuple(
-            Pulse(channel=c, area=a, t_start=t, duration=duration)
-            for (c, a), t in zip(order, starts)
-        ),
-        t_end=1e-5,
+    pulses = tuple(
+        Pulse(channel=c, area=a, t_start=2e-6 * i, duration=duration)
+        for i, (c, a) in enumerate(order)
     )
-    traj = integrate_sequence(ground_state(), finite, atom, dt=1e-9, sample_stride=50)
+    return PulseSequence(pulses=pulses, t_end=1e-5)
+
+
+def check_engine_agreement() -> Check:
+    """Closed forms, hard-pulse unitaries and RK4 give one final state."""
+    analytic = stage_chain(CANONICAL)[-1][1]
+    atom = AtomParams()
+    hard_final = run_sequence_hard(ground_state(), _canonical_sequence(0.0), atom)[-1][1]
+    traj = integrate_sequence(
+        ground_state(), _canonical_sequence(1e-6), atom, dt=1e-9, sample_stride=50
+    )
     ode_final = traj[-1][1]
 
     dev = max(

@@ -16,13 +16,10 @@ import numpy as np
 
 from cdrecho import (
     AtomParams,
-    Channel,
     DensityMatrix,
     DriveSample,
     FigureId,
     PropagationConfig,
-    Pulse,
-    PulseSequence,
     StageAreas,
     detect_echoes,
     figure_dataset,
@@ -43,6 +40,7 @@ from cdrecho import (
 )
 from cdrecho.cli import cli_main
 from cdrecho.stages import after_c2, after_r1
+from cdrecho.verify import _canonical_sequence
 
 import pytest
 
@@ -55,14 +53,6 @@ POP_WEAK = 0.024471741852423214  # sin^2(0.05 pi)
 
 CANONICAL = StageAreas(phi_d=0.1 * PI, phi_r1=PI, phi_c1=PI, phi_c2=PI, phi_r2=PI)
 HALF_PI = StageAreas(phi_d=0.5 * PI, phi_r1=PI, phi_c1=PI, phi_c2=PI, phi_r2=PI)
-
-_PULSE_ORDER = (
-    ("phi_d", Channel.OPTICAL12),
-    ("phi_r1", Channel.OPTICAL12),
-    ("phi_c1", Channel.CONTROL23),
-    ("phi_c2", Channel.CONTROL23),
-    ("phi_r2", Channel.OPTICAL12),
-)
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -137,24 +127,10 @@ def test_04_three_engines_agree():
     atom = AtomParams()
     analytic = stage_chain(CANONICAL)[-1][1]
 
-    starts = [0.0, 2e-6, 4e-6, 6e-6, 8e-6]
-    hard_seq = PulseSequence(
-        pulses=tuple(
-            Pulse(ch, getattr(CANONICAL, name), t)
-            for (name, ch), t in zip(_PULSE_ORDER, starts)
-        ),
-        t_end=1e-5,
+    hard_final = run_sequence_hard(ground_state(), _canonical_sequence(0.0), atom)[-1][1]
+    traj = integrate_sequence(
+        ground_state(), _canonical_sequence(1e-6), atom, dt=1e-9, sample_stride=50
     )
-    hard_final = run_sequence_hard(ground_state(), hard_seq, atom)[-1][1]
-
-    finite_seq = PulseSequence(
-        pulses=tuple(
-            Pulse(ch, getattr(CANONICAL, name), t, duration=1e-6)
-            for (name, ch), t in zip(_PULSE_ORDER, starts)
-        ),
-        t_end=1e-5,
-    )
-    traj = integrate_sequence(ground_state(), finite_seq, atom, dt=1e-9, sample_stride=50)
     ode_final = traj[-1][1]
 
     dev = max(

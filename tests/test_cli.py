@@ -3,8 +3,16 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from cdrecho import (
+    AtomParams,
+    DensityMatrix,
+    PulseSequence,
+    integrate_sequence,
+    verify,
+)
 from cdrecho.cli import cli_main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -204,3 +212,21 @@ class TestVerify:
         for line in lines[:-1]:
             assert line.startswith("PASS ")
         assert lines[-1] == f"all {len(lines) - 1} checks passed"
+
+    def test_non_finite_state_is_numerical_failure(self, monkeypatch, capsys):
+        # an RK4 step far past its stability limit overflows the state
+        def unstable_check():
+            excited = np.zeros((3, 3), dtype=complex)
+            excited[1, 1] = 1.0
+            integrate_sequence(
+                DensityMatrix(excited),
+                PulseSequence(pulses=(), t_end=1e-7),
+                AtomParams(gamma=(0.0, 1e13, 0.0)),
+                dt=1e-9,
+                sample_stride=50,
+            )
+
+        monkeypatch.setattr(verify, "CHECKS", (unstable_check,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli_main(["verify"]) == 4
+        assert capsys.readouterr().err == "error: integration produced non-finite state\n"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdrecho import (
     AtomParams,
@@ -21,6 +23,7 @@ from cdrecho import (
     rhs,
     rk4_step,
 )
+from cdrecho.integrator import _segments
 
 PI = math.pi
 
@@ -278,3 +281,64 @@ class TestIntegrateSequence:
         assert len(thin) < len(dense) / 50
         thin_times = {t for t, _ in thin}
         assert {0.0, 1e-6, 2e-6} <= thin_times
+
+
+def rk4_loop(rho0, seq, atom, dt, stride):
+    """integrate_sequence written as a plain loop of rk4_step calls."""
+    out = [(0.0, rho0)]
+    rho = rho0
+    for a, b, drive in _segments(seq):
+        if b <= a:
+            continue
+        n = max(1, math.ceil((b - a) / dt - 1e-9))
+        h = (b - a) / n
+        for i in range(n):
+            rho = rk4_step(rho, a + i * h, h, lambda _t, _d=drive: _d, atom)
+            if (i + 1) % stride == 0 or i == n - 1:
+                out.append((b if i == n - 1 else a + (i + 1) * h, rho))
+    return out
+
+
+class TestStepMatrix:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        pulses=st.lists(
+            st.tuples(
+                st.sampled_from(list(Channel)),
+                st.floats(min_value=0.1, max_value=1.5),  # area / pi
+                st.floats(min_value=0.1, max_value=0.2),  # duration, us
+                st.floats(min_value=0.0, max_value=0.1),  # gap before, us
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        delta=st.floats(min_value=-2 * PI * 5e6, max_value=2 * PI * 5e6),
+        delta_s=st.floats(min_value=-2 * PI * 5e6, max_value=2 * PI * 5e6),
+        gamma=st.tuples(*[st.floats(min_value=1e3, max_value=1e6)] * 3),
+        stride=st.integers(min_value=1, max_value=60),
+    )
+    def test_matches_rk4_step_loop(self, pulses, delta, delta_s, gamma, stride):
+        built = []
+        for channel, area, width, gap in pulses:
+            start = built[-1].t_end + gap * 1e-6 if built else gap * 1e-6
+            built.append(Pulse(channel, area * PI, start, duration=width * 1e-6))
+        seq = PulseSequence(pulses=tuple(built), t_end=built[-1].t_end + 0.1e-6)
+        atom = AtomParams(delta=delta, delta_s=delta_s, gamma=gamma)
+        dt = min(p.duration for p in built) / 100
+        got = integrate_sequence(ground_state(), seq, atom, dt, sample_stride=stride)
+        want = rk4_loop(ground_state(), seq, atom, dt, stride)
+        assert [t for t, _ in got] == [t for t, _ in want]
+        worst = max(max_element_distance(g, w) for (_, g), (_, w) in zip(got, want))
+        assert worst <= 1e-13
+
+    def test_unstable_step_still_raises(self):
+        # gamma * dt = 1e4 is far outside RK4's stability region
+        excited = np.zeros((3, 3), dtype=complex)
+        excited[1, 1] = 1.0
+        seq = PulseSequence(pulses=(), t_end=1e-7)
+        atom = AtomParams(gamma=(0.0, 1e13, 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                integrate_sequence(
+                    DensityMatrix(excited), seq, atom, dt=1e-9, sample_stride=50
+                )
