@@ -13,7 +13,6 @@ from .ensemble import (
     EchoReport,
     EnsembleSpec,
     EnsembleTrace,
-    build_ensemble,
     detect_echoes,
     predict_echo_times,
     simulate_ensemble,
@@ -50,12 +49,7 @@ from .states import (
     validate,
 )
 from .sweeps import FigureId, SweepSpec, figure_dataset, run_sweep
-from .unitary import (
-    apply_unitary,
-    free_evolution_unitary,
-    pulse_unitary,
-    run_sequence_hard,
-)
+from .unitary import pulse_unitary, run_sequence_hard
 
 __version__ = "0.1.0"
 
@@ -85,13 +79,10 @@ __all__ = [
     "after_r1",
     "after_r2_cdr",
     "after_r2_dr",
-    "apply_unitary",
-    "build_ensemble",
     "coherence",
     "detect_echoes",
     "figure_dataset",
     "format_float",
-    "free_evolution_unitary",
     "ground_state",
     "integrate_sequence",
     "max_element_distance",

@@ -8,11 +8,11 @@ optical phase slope is +1 per unit time, every odd-pi optical pulse negates
 the accumulated phase, and the phase stands still while the coherence is
 shelved on the spin level between the two control pulses.
 
-One exact engine serves hard and square pulses alike: the drive is piecewise
-constant, so every stretch is a closed-form 3x3 propagator batched over the
-comb (a phase rotation between pulses, a rotation for a hard pulse, one
-eigendecomposition per square pulse). The `engine` name only states which
-pulses a sequence may hold; the RK4 integrator is the independent oracle.
+The comb walks the sequence through `unitary.stretches`, the same exact
+propagators that `run_sequence_hard` runs for one atom, for hard and square
+pulses alike; this module keeps only the weighted comb sums. The `engine`
+name only states which pulses a sequence may hold; the RK4 integrator is the
+independent oracle.
 
 Sign convention: Im P < 0 is an absorptive signal, Im P > 0 emissive.
 """
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import AtomParams, Channel, Pulse, PulseSequence
-from .unitary import pulse_unitary
+from .states import Channel, PulseSequence
+from .unitary import stretches
 
 __all__ = [
     "DEFAULT_SIGMA",
@@ -35,7 +35,6 @@ __all__ = [
     "EchoEvent",
     "EchoReport",
     "EnsembleTrace",
-    "build_ensemble",
     "time_grid",
     "simulate_ensemble",
     "predict_echo_times",
@@ -69,15 +68,8 @@ class EnsembleSpec:
             raise ValueError("span must be finite and >= 0")
 
 
-def build_ensemble(spec: EnsembleSpec) -> list[tuple[AtomParams, float]]:
-    """Detuning grid members with Gaussian weights normalized to sum 1."""
-    deltas, weights = _grid(spec)
-    return [
-        (AtomParams(delta=float(d)), float(w)) for d, w in zip(deltas, weights)
-    ]
-
-
 def _grid(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Detunings of the comb and their Gaussian weights, normalized to sum 1."""
     half = spec.span * spec.sigma
     deltas = np.linspace(-half, half, spec.n_atoms)
     weights = np.exp(-(deltas**2) / (2.0 * spec.sigma**2))
@@ -97,12 +89,6 @@ def time_grid(t_end: float, dt: float) -> np.ndarray:
     return np.linspace(0.0, n * dt, n + 1)
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class EnsembleTrace:
     """Sampled ensemble observables: complex P(t) and mean level populations."""
@@ -114,8 +100,11 @@ class EnsembleTrace:
     pop_spin: np.ndarray
 
     def __post_init__(self):
+        # frozen copies: the caller's arrays stay as they were
         for name in ("times", "polarization", "pop_ground", "pop_excited", "pop_spin"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
+            arr = np.array(getattr(self, name))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def population_at(self, t: float) -> tuple[float, float, float]:
         """Mean populations at the sample nearest to t."""
@@ -138,28 +127,9 @@ class EchoEvent:
 @dataclass(frozen=True)
 class EchoReport:
     events: tuple[EchoEvent, ...]
-    times: np.ndarray
-    polarization: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "times", _readonly(self.times))
-        object.__setattr__(self, "polarization", _readonly(self.polarization))
 
     def labeled(self, label: str) -> tuple[EchoEvent, ...]:
         return tuple(e for e in self.events if e.label == label)
-
-
-def _square_eigen(
-    p: Pulse, deltas: np.ndarray, delta_s: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the constant, real-symmetric Hamiltonian of a square pulse,
-    H = diag(0, delta, delta_s) - (Omega/2) coupling, batched over the comb."""
-    h = np.zeros((deltas.size, 3, 3))
-    h[:, 1, 1] = deltas
-    h[:, 2, 2] = delta_s
-    a, b = (0, 1) if p.channel is Channel.OPTICAL12 else (1, 2)
-    h[:, a, b] = h[:, b, a] = -0.5 * p.rabi_frequency
-    return np.linalg.eigh(h)
 
 
 _TABLE_GAP_RAD = 1e-10  # largest phase error a shared in-block table may add
@@ -203,63 +173,33 @@ def _trace(
     weights: np.ndarray,
     times: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact piecewise evolution of the whole comb through hard and square pulses.
+    """Weighted comb sums of P(t) and the mean populations along the exact walk.
 
-    Free stretches are diagonal phase rotations, hard pulses are pulse_unitary
-    rotations, and a square pulse is U(tau) = V exp(-i w tau) V^T from one
-    eigendecomposition of its constant Hamiltonian.
+    On a free stretch rho12 advances at +delta; inside a square pulse the
+    mean rho_ab(tau) = sum_n w_n sum_kl v_ak v_bl r_kl exp(-i beat_kl tau).
     """
-    n = deltas.size
-    n_t = times.size
-    rho = np.zeros((n, 3, 3), dtype=complex)
-    rho[:, 0, 0] = 1.0
-    lam = np.column_stack([np.zeros(n), deltas, delta_s])  # per-level phase rates
+    ground = np.zeros((deltas.size, 3, 3), dtype=complex)
+    ground[:, 0, 0] = 1.0
     diag = (np.arange(3), np.arange(3))
-
-    pol = np.empty(n_t, dtype=complex)
-    pops = np.empty((n_t, 3))
+    pol = np.empty(times.size, dtype=complex)
+    pops = np.empty((times.size, 3))
     idx = 0
-    now = 0.0
-
-    def emit_before(limit: float):
-        nonlocal idx
-        j = int(np.searchsorted(times, limit, side="left"))
-        if j > idx:
-            coef = (weights * rho[:, 0, 1])[:, None]  # rho12 advances at +delta
-            pol[idx:j] = _phase_sum(times[idx:j] - now, deltas, coef)[:, 0]
+    for start, end, rho, pulse in stretches(seq, deltas, delta_s, ground):
+        j = int(np.searchsorted(times, end, side="left"))
+        if j == idx:
+            continue
+        tau = times[idx:j] - start
+        if pulse is None:
+            coef = (weights * rho[:, 0, 1])[:, None]
+            pol[idx:j] = _phase_sum(tau, deltas, coef)[:, 0]
             pops[idx:j] = weights @ rho[:, diag[0], diag[1]].real
-            idx = j
-
-    def emit_driven(limit: float, v: np.ndarray, r: np.ndarray, beat: np.ndarray):
-        # mean rho_ab(tau) = sum_n w_n sum_kl v_ak v_bl r_kl exp(-i beat_kl tau)
-        nonlocal idx
-        j = int(np.searchsorted(times, limit, side="left"))
-        if j > idx:
-            coef = np.einsum("n,nak,nbl,nkl->nklab", weights, v, v, r).reshape(-1, 9)
-            mean = _phase_sum(times[idx:j] - now, -beat.ravel(), coef).reshape(-1, 3, 3)
+        else:
+            v, beat = pulse
+            coef = np.einsum("n,nak,nbl,nkl->nklab", weights, v, v, rho).reshape(-1, 9)
+            mean = _phase_sum(tau, -beat.ravel(), coef).reshape(-1, 3, 3)
             pol[idx:j] = mean[:, 0, 1]
             pops[idx:j] = mean[:, diag[0], diag[1]].real
-            idx = j
-
-    for p in seq.pulses:
-        emit_before(p.t_start)
-        gap = p.t_start - now
-        if gap != 0.0:
-            u = np.exp(-1j * lam * gap)
-            rho = u[:, :, None] * rho * np.conj(u)[:, None, :]
-        now = p.t_start
-        if p.is_hard:
-            full = pulse_unitary(p.channel, p.area)
-            rho = np.einsum("ab,nbc,dc->nad", full, rho, np.conj(full))
-        else:
-            w, v = _square_eigen(p, deltas, delta_s)
-            vt = np.swapaxes(v, 1, 2)
-            r = vt @ rho @ v  # the state in the pulse's eigenbasis
-            beat = w[:, :, None] - w[:, None, :]
-            emit_driven(p.t_end, v, r, beat)
-            rho = v @ (r * np.exp(-1j * beat * p.duration)) @ vt
-        now = p.t_end
-    emit_before(np.inf)
+        idx = j
     return pol, pops
 
 
@@ -376,7 +316,7 @@ def detect_echoes(
     if not 0.0 < threshold_fraction <= 1.0:
         raise ValueError("threshold_fraction must be in (0, 1]")
     if times.size < 3:
-        return EchoReport((), times, pol)
+        return EchoReport(())
 
     dt = float(np.median(np.diff(times)))
     pad = dt * (1.0 + 1e-9)
@@ -387,10 +327,10 @@ def detect_echoes(
     mag = np.abs(pol)
     open_mag = mag[~excluded]
     if open_mag.size == 0:
-        return EchoReport((), times, pol)
+        return EchoReport(())
     ref = float(open_mag.max())
     if ref == 0.0:
-        return EchoReport((), times, pol)
+        return EchoReport(())
     thr = threshold_fraction * ref
 
     predicted = predict_echo_times(seq)
@@ -414,4 +354,4 @@ def detect_echoes(
         )
         for i, label in zip(peaks, labels)
     ]
-    return EchoReport(tuple(events), times, pol)
+    return EchoReport(tuple(events))

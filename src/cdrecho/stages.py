@@ -18,7 +18,7 @@ produced by composing the control stage with the final optical rotation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,6 +34,8 @@ __all__ = [
     "after_r2_cdr",
     "stage_chain",
     "STAGE_LABELS",
+    "CANONICAL",
+    "HALF_PI",
 ]
 
 STAGE_LABELS = ("D", "R1", "C1", "C2", "R2")
@@ -53,6 +55,12 @@ class StageAreas:
         for name in ("phi_d", "phi_r1", "phi_c1", "phi_c2", "phi_r2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+
+
+# the canonical protocol: pi rephasing and control pulses after a weak
+# (0.1 pi) or a pi/2 data pulse
+CANONICAL = StageAreas(0.1 * math.pi, math.pi, math.pi, math.pi, math.pi)
+HALF_PI = replace(CANONICAL, phi_d=0.5 * math.pi)
 
 
 def _hermitian(

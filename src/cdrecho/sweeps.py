@@ -17,6 +17,8 @@ import numpy as np
 
 from .csvio import Table
 from .stages import (
+    CANONICAL,
+    HALF_PI,
     StageAreas,
     after_c1,
     after_c2,
@@ -124,9 +126,6 @@ class FigureId(enum.Enum):
     FIG5D = "fig5d"
 
 
-_WEAK = StageAreas(phi_d=0.1 * math.pi, phi_r1=math.pi, phi_c1=math.pi, phi_c2=math.pi)
-_HALF = StageAreas(phi_d=0.5 * math.pi, phi_r1=math.pi, phi_c1=math.pi, phi_c2=math.pi)
-
 _COHERENCE = ("im_rho12",)
 _COHERENCE13 = ("im_rho12", "re_rho13")
 _POPS2 = ("rho11", "rho22")
@@ -134,20 +133,20 @@ _POPS3 = ("rho11", "rho22", "rho33")
 
 # figure -> (stage, varying area, fixed areas, emitted columns)
 _FIGURES: dict[FigureId, tuple[str, str, StageAreas, tuple[str, ...]]] = {
-    FigureId.FIG2A: ("r1", "phi_r1", _WEAK, _COHERENCE),
-    FigureId.FIG2B: ("r1", "phi_r1", _WEAK, _POPS2),
-    FigureId.FIG2C: ("r2_dr", "phi_r2", _WEAK, _COHERENCE),
-    FigureId.FIG2D: ("r2_dr", "phi_r2", _WEAK, _POPS2),
-    FigureId.FIG3A: ("c1", "phi_c1", _WEAK, _COHERENCE13),
-    FigureId.FIG3B: ("c1", "phi_c1", _WEAK, _POPS3),
-    FigureId.FIG3C: ("c2", "phi_c2", _WEAK, _COHERENCE),
-    FigureId.FIG3D: ("c2", "phi_c2", _WEAK, _POPS3),
-    FigureId.FIG4A: ("r2_cdr", "phi_r2", _WEAK, _COHERENCE),
-    FigureId.FIG4B: ("r2_cdr", "phi_r2", _WEAK, _POPS3),
-    FigureId.FIG5A: ("r1", "phi_r1", _HALF, _COHERENCE),
-    FigureId.FIG5B: ("c1", "phi_c1", _HALF, _COHERENCE),
-    FigureId.FIG5C: ("c2", "phi_c2", _HALF, _COHERENCE),
-    FigureId.FIG5D: ("r2_cdr", "phi_r2", _HALF, _COHERENCE),
+    FigureId.FIG2A: ("r1", "phi_r1", CANONICAL, _COHERENCE),
+    FigureId.FIG2B: ("r1", "phi_r1", CANONICAL, _POPS2),
+    FigureId.FIG2C: ("r2_dr", "phi_r2", CANONICAL, _COHERENCE),
+    FigureId.FIG2D: ("r2_dr", "phi_r2", CANONICAL, _POPS2),
+    FigureId.FIG3A: ("c1", "phi_c1", CANONICAL, _COHERENCE13),
+    FigureId.FIG3B: ("c1", "phi_c1", CANONICAL, _POPS3),
+    FigureId.FIG3C: ("c2", "phi_c2", CANONICAL, _COHERENCE),
+    FigureId.FIG3D: ("c2", "phi_c2", CANONICAL, _POPS3),
+    FigureId.FIG4A: ("r2_cdr", "phi_r2", CANONICAL, _COHERENCE),
+    FigureId.FIG4B: ("r2_cdr", "phi_r2", CANONICAL, _POPS3),
+    FigureId.FIG5A: ("r1", "phi_r1", HALF_PI, _COHERENCE),
+    FigureId.FIG5B: ("c1", "phi_c1", HALF_PI, _COHERENCE),
+    FigureId.FIG5C: ("c2", "phi_c2", HALF_PI, _COHERENCE),
+    FigureId.FIG5D: ("r2_cdr", "phi_r2", HALF_PI, _COHERENCE),
 }
 
 FIGURE_GRID_STEPS = 401  # 0..4pi in pi/100 steps

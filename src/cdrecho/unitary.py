@@ -1,24 +1,29 @@
-"""Hard-pulse rotations and free evolution as exact 3x3 unitaries.
+"""Exact piecewise propagation of a batch of three-level atoms.
 
-A hard pulse of area phi on a channel is the zero-duration limit of a square
-resonant pulse: a rotation by phi in the driven two-level subspace, identity
-on the spectator level. Free evolution only rotates coherence phases; the
-optical level carries delta, the spin level carries delta_s, so a coherence
-parked on |1>-|3> stands still when delta_s = 0.
+The drive is piecewise constant, so every stretch of a sequence has a
+closed-form 3x3 propagator. A hard pulse of area phi on a channel is the
+zero-duration limit of a square resonant pulse: a rotation by phi in the
+driven two-level subspace, identity on the spectator level. Free evolution
+only rotates coherence phases; the optical level carries delta, the spin
+level carries delta_s, so a coherence parked on |1>-|3> stands still when
+delta_s = 0. A square pulse is U(tau) = V exp(-i w tau) V^T from one
+eigendecomposition of its constant Hamiltonian.
+
+`stretches` walks a sequence once for a whole batch of atoms: the ensemble
+trace runs it over a detuning comb, and `run_sequence_hard` over one atom.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .states import AtomParams, Channel, DensityMatrix, PulseSequence
+from .states import AtomParams, Channel, DensityMatrix, Pulse, PulseSequence
 
 __all__ = [
     "pulse_unitary",
-    "free_evolution_unitary",
-    "apply_unitary",
+    "stretches",
     "run_sequence_hard",
 ]
 
@@ -47,21 +52,63 @@ def pulse_unitary(channel: Channel, area: float) -> np.ndarray:
     return u
 
 
-def free_evolution_unitary(atom: AtomParams, dt: float) -> np.ndarray:
-    """Phase evolution over dt with no drive: diag(1, e^{-i delta dt}, e^{-i delta_s dt})."""
-    return np.diag(
-        [
-            1.0 + 0.0j,
-            np.exp(-1j * atom.delta * dt),
-            np.exp(-1j * atom.delta_s * dt),
-        ]
-    )
+def _free_rotation(
+    rho: np.ndarray, lam: np.ndarray, span: float | np.ndarray
+) -> np.ndarray:
+    """Free evolution rho_ab -> u_a rho_ab conj(u_b) with u = exp(-i lam span).
+
+    rho is (n, 3, 3) and lam the (n, 3) per-level phase rates (0, delta,
+    delta_s); span is a duration, or a (k, 1) column of durations for one atom.
+    """
+    u = np.exp(-1j * lam * span)
+    return u[:, :, None] * rho * np.conj(u)[:, None, :]
 
 
-def apply_unitary(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
-    """Conjugate a state: rho -> u rho u^dagger."""
-    m = u @ rho.elements @ u.conj().T
-    return DensityMatrix(m)
+def _square_eigen(
+    p: Pulse, deltas: np.ndarray, delta_s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the constant, real-symmetric Hamiltonian of a square pulse,
+    H = diag(0, delta, delta_s) - (Omega/2) coupling, batched over the atoms."""
+    h = np.zeros((deltas.size, 3, 3))
+    h[:, 1, 1] = deltas
+    h[:, 2, 2] = delta_s
+    a, b = (0, 1) if p.channel is Channel.OPTICAL12 else (1, 2)
+    h[:, a, b] = h[:, b, a] = -0.5 * p.rabi_frequency
+    return np.linalg.eigh(h)
+
+
+def stretches(
+    seq: PulseSequence, deltas: np.ndarray, delta_s: np.ndarray, rho: np.ndarray
+) -> Iterator[tuple[float, float, np.ndarray, tuple | None]]:
+    """Walk a sequence from t = 0 for a batch of atoms, one stretch at a time.
+
+    Yields (start, end, rho, pulse) for every stretch [start, end); the last
+    free stretch ends at inf. On a free stretch pulse is None and rho is the
+    (n, 3, 3) state at start. Inside a square pulse pulse is (v, beat) and rho
+    is the state in the pulse's eigenbasis, so the state tau after start is
+    v (rho * exp(-i beat tau)) v^T. A hard pulse acts between two free
+    stretches, so the stretch that starts at its instant holds the post-pulse
+    state.
+    """
+    lam = np.column_stack([np.zeros(deltas.size), deltas, delta_s])
+    now = 0.0
+    for p in seq.pulses:
+        yield now, p.t_start, rho, None
+        gap = p.t_start - now
+        if gap != 0.0:
+            rho = _free_rotation(rho, lam, gap)
+        if p.is_hard:
+            full = pulse_unitary(p.channel, p.area)
+            rho = np.einsum("ab,nbc,dc->nad", full, rho, np.conj(full))
+        else:
+            w, v = _square_eigen(p, deltas, delta_s)
+            vt = np.swapaxes(v, 1, 2)
+            r = vt @ rho @ v
+            beat = w[:, :, None] - w[:, None, :]
+            yield p.t_start, p.t_end, r, (v, beat)
+            rho = v @ (r * np.exp(-1j * beat * p.duration)) @ vt
+        now = p.t_end
+    yield now, np.inf, rho, None
 
 
 def run_sequence_hard(
@@ -75,40 +122,26 @@ def run_sequence_hard(
     Emits (time, state) at every requested sample time and at every pulse
     instant; the entry at a pulse instant is the post-pulse state, and a
     sample landing exactly on a pulse instant is merged into that entry.
-    Decay is ignored here; use the integrator for damped dynamics.
+    The atom runs as a batch of one through `stretches`. Decay is ignored
+    here; use the integrator for damped dynamics.
     """
     for p in seq.pulses:
         if not p.is_hard:
             raise ValueError("run_sequence_hard requires zero-duration pulses")
-    samples = sorted(float(t) for t in sample_times)
-    if samples and samples[0] < 0:
+    samples = np.array(sorted(float(t) for t in sample_times))
+    if samples.size and samples[0] < 0:
         raise ValueError("sample times must be >= 0")
 
+    lam = np.array([[0.0, atom.delta, atom.delta_s]])
     out: list[tuple[float, DensityMatrix]] = []
-    rho = rho0.elements.copy()
-    now = 0.0
     idx = 0
-
-    def free(m: np.ndarray, span: float) -> np.ndarray:
-        if span == 0.0:
-            return m
-        u = free_evolution_unitary(atom, span)
-        return u @ m @ u.conj().T
-
-    for p in seq.pulses:
-        while idx < len(samples) and samples[idx] < p.t_start:
-            t = samples[idx]
-            out.append((t, DensityMatrix(free(rho, t - now))))
-            idx += 1
-        rho = free(rho, p.t_start - now)
-        now = p.t_start
-        u = pulse_unitary(p.channel, p.area)
-        rho = u @ rho @ u.conj().T
-        while idx < len(samples) and samples[idx] == now:
-            idx += 1
-        out.append((now, DensityMatrix(rho)))
-    while idx < len(samples):
-        t = samples[idx]
-        out.append((t, DensityMatrix(free(rho, t - now))))
-        idx += 1
+    walk = stretches(seq, lam[:, 1], lam[:, 2], rho0.elements[None])
+    for k, (start, end, rho, _) in enumerate(walk):
+        if k:  # every stretch after the first opens at a pulse instant
+            out.append((start, DensityMatrix(rho[0])))
+            idx = int(np.searchsorted(samples, start, side="right"))
+        j = int(np.searchsorted(samples, end, side="left"))
+        states = _free_rotation(rho, lam, samples[idx:j, None] - start)
+        out += zip(samples[idx:j].tolist(), map(DensityMatrix, states))
+        idx = j
     return out

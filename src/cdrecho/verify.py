@@ -15,7 +15,7 @@ import numpy as np
 
 from .area import PropagationConfig, propagate_area
 from .integrator import DriveSample, integrate_sequence, rhs
-from .stages import StageAreas, after_c2, after_r1, stage_chain
+from .stages import CANONICAL, HALF_PI, StageAreas, after_c2, after_r1, stage_chain
 from .states import (
     AtomParams,
     Channel,
@@ -28,14 +28,9 @@ from .states import (
 )
 from .unitary import run_sequence_hard
 
-__all__ = ["Check", "run_checks", "CHECK_NAMES"]
+__all__ = ["Check", "run_checks"]
 
 PI = math.pi
-
-CANONICAL = StageAreas(
-    phi_d=0.1 * PI, phi_r1=PI, phi_c1=PI, phi_c2=PI, phi_r2=PI
-)
-HALF_PI = StageAreas(phi_d=0.5 * PI, phi_r1=PI, phi_c1=PI, phi_c2=PI, phi_r2=PI)
 
 
 @dataclass(frozen=True)
@@ -182,8 +177,6 @@ CHECKS = (
     check_rate_equations,
     check_area_propagation,
 )
-
-CHECK_NAMES = tuple(fn.__name__.removeprefix("check_") for fn in CHECKS)
 
 
 def run_checks() -> list[Check]:

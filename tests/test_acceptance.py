@@ -39,7 +39,7 @@ from cdrecho import (
     write_csv,
 )
 from cdrecho.cli import cli_main
-from cdrecho.stages import after_c2, after_r1
+from cdrecho.stages import CANONICAL, HALF_PI, after_c2, after_r1
 from cdrecho.verify import _canonical_sequence
 
 import pytest
@@ -50,9 +50,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SIN_WEAK_HALF = 0.1545084971874737  # sin(0.1 pi) / 2
 POP_WEAK = 0.024471741852423214  # sin^2(0.05 pi)
-
-CANONICAL = StageAreas(phi_d=0.1 * PI, phi_r1=PI, phi_c1=PI, phi_c2=PI, phi_r2=PI)
-HALF_PI = StageAreas(phi_d=0.5 * PI, phi_r1=PI, phi_c1=PI, phi_c2=PI, phi_r2=PI)
 
 
 def report(name: str, ok: bool, detail: str) -> None:

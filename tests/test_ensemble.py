@@ -9,19 +9,20 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cdrecho import (
+    AtomParams,
     Channel,
     EnsembleSpec,
     Pulse,
     PulseSequence,
-    build_ensemble,
     detect_echoes,
     ground_state,
     integrate_sequence,
     predict_echo_times,
+    run_sequence_hard,
     simulate_ensemble,
     time_grid,
 )
-from cdrecho.ensemble import EchoEvent, _phase_sum
+from cdrecho.ensemble import EchoEvent, _grid, _phase_sum
 
 PI = math.pi
 US = 1e-6
@@ -113,10 +114,8 @@ class TestEnsembleSpec:
 
     def test_build_ensemble_weights(self):
         spec = EnsembleSpec(sigma=2 * PI * 1e6, n_atoms=21, span=3.0)
-        members = build_ensemble(spec)
-        assert len(members) == 21
-        weights = np.array([w for _, w in members])
-        deltas = np.array([a.delta for a, _ in members])
+        deltas, weights = _grid(spec)
+        assert len(deltas) == len(weights) == 21
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(deltas, -deltas[::-1], atol=1e-9)
         assert deltas[0] == pytest.approx(-3.0 * spec.sigma)
@@ -341,6 +340,25 @@ class TestProtocolEchoes:
         assert e1 > g1
         assert e2 < g2
 
+    def test_comb_is_weighted_sum_of_single_atoms(self):
+        # the comb trace and run_sequence_hard walk the same propagators; every
+        # pulse instant is on this grid, so the single-atom runs emit its times
+        spec = EnsembleSpec(n_atoms=7)
+        times = time_grid(45 * US, 0.5 * US)
+        trace = simulate_ensemble(cdr_seq(), spec, times)
+        pol = np.zeros(times.size, dtype=complex)
+        pops = np.zeros((times.size, 3))
+        for delta, weight in zip(*_grid(spec)):
+            out = run_sequence_hard(
+                ground_state(), cdr_seq(), AtomParams(delta=float(delta)), times
+            )
+            assert [t for t, _ in out] == times.tolist()
+            pol += weight * np.array([rho.elements[0, 1] for _, rho in out])
+            pops += weight * np.array([np.diag(rho.elements).real for _, rho in out])
+        assert np.max(np.abs(trace.polarization - pol)) <= 1e-12
+        for k, name in enumerate(("pop_ground", "pop_excited", "pop_spin")):
+            assert np.max(np.abs(getattr(trace, name) - pops[:, k])) <= 1e-12
+
     def test_real_part_stays_zero(self):
         pol = simulate_ensemble(cdr_seq(), self.SPEC, self.TIMES).polarization
         assert np.max(np.abs(pol.real)) <= 1e-12
@@ -513,7 +531,8 @@ class TestDetectEchoes:
 def rk4_ensemble(seq, spec, dt, stride):
     """Weighted sum of per-atom RK4 trajectories: sample times and P(t)."""
     times = pol = None
-    for atom, weight in build_ensemble(spec):
+    for delta, weight in zip(*_grid(spec)):
+        atom = AtomParams(delta=float(delta))
         traj = integrate_sequence(ground_state(), seq, atom, dt, sample_stride=stride)
         if times is None:
             times = np.array([t for t, _ in traj])
@@ -633,6 +652,18 @@ class TestTraceContainer:
             trace.polarization[0] = 0.0
         with pytest.raises(ValueError):
             trace.times[0] = -1.0
+
+    def test_callers_arrays_stay_writable(self):
+        spec = EnsembleSpec(n_atoms=5)
+        seq = two_pulse_seq(tau=0.3 * US, t_end=1 * US)
+        times = time_grid(1 * US, 0.1 * US)
+        trace = simulate_ensemble(seq, spec, times)
+        pol = np.array(trace.polarization)
+        detect_echoes(times, pol, seq)
+        assert times.flags.writeable
+        assert pol.flags.writeable
+        times[0] = -1.0
+        assert trace.times[0] == 0.0
 
     def test_population_at_uses_nearest_sample(self):
         spec = EnsembleSpec(n_atoms=5)

@@ -7,8 +7,8 @@ import pytest
 
 from cdrecho import (
     Channel,
+    DensityMatrix,
     StageAreas,
-    apply_unitary,
     ground_state,
     max_element_distance,
     pulse_unitary,
@@ -33,10 +33,11 @@ POP_INVERTED = 0.9755282581475768  # cos^2(0.05 pi), excited share after D + R1
 
 def _compose(*steps):
     """Apply (channel, area) rotations to the ground state in order."""
-    rho = ground_state()
+    m = ground_state().elements
     for channel, area in steps:
-        rho = apply_unitary(rho, pulse_unitary(channel, area))
-    return rho
+        u = pulse_unitary(channel, area)
+        m = u @ m @ u.conj().T
+    return DensityMatrix(m)
 
 
 class TestAgainstUnitaryOracle:

@@ -1,0 +1,40 @@
+"""The benchmark's tracer still finds every function it probes.
+
+`perfbench/tracing.py` looks its probes up by module and function name when
+it installs, and names the ensemble span after the `engine` argument; a
+public-API trim that drops one of those names would break `--trace 1`.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from cdrecho.cli import cli_main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_tracing(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verify_and_echo_record_probe_spans(monkeypatch, capsys):
+    tracer = _load_tracing(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        assert cli_main(["verify"]) == 0
+        assert cli_main(["echo", "--seq", str(ROOT / "sequences" / "dr.json")]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names = {span[2] for span in tracer.spans}
+    assert "unitary.run_sequence_hard_s" in names
+    assert "ensemble.simulate_hard_s" in names
+    assert "integrator.integrate_sequence_s" in names
+    assert tracer.counts["ensemble.atom_samples"] > 0

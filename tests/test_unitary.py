@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdrecho import (
     AtomParams,
@@ -12,8 +14,6 @@ from cdrecho import (
     Pulse,
     PulseSequence,
     StageAreas,
-    apply_unitary,
-    free_evolution_unitary,
     ground_state,
     max_element_distance,
     pulse_unitary,
@@ -32,6 +32,42 @@ def random_valid_state(rng) -> DensityMatrix:
     return DensityMatrix(m / m.trace())
 
 
+def conjugate(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
+    """rho -> u rho u^dagger as an explicit matrix product."""
+    return DensityMatrix(u @ rho.elements @ u.conj().T)
+
+
+def free_evolve(rho: DensityMatrix, atom: AtomParams, span: float) -> DensityMatrix:
+    """Free evolution over span: run_sequence_hard with no pulses."""
+    seq = PulseSequence(pulses=(), t_end=span)
+    return run_sequence_hard(rho, seq, atom, [span])[-1][1]
+
+
+def hard_loop(rho0, seq, atom, sample_times):
+    """Dense per-sample loop form of run_sequence_hard: the reference for the walk."""
+    rates = np.array([0.0, atom.delta, atom.delta_s])
+
+    def free(m, span):
+        u = np.diag(np.exp(-1j * rates * span))
+        return u @ m @ u.conj().T
+
+    samples = sorted(sample_times)
+    out, m, now, idx = [], rho0.elements, 0.0, 0
+    for p in seq.pulses:
+        while idx < len(samples) and samples[idx] < p.t_start:
+            out.append((samples[idx], free(m, samples[idx] - now)))
+            idx += 1
+        m = free(m, p.t_start - now)
+        now = p.t_start
+        u = pulse_unitary(p.channel, p.area)
+        m = u @ m @ u.conj().T
+        while idx < len(samples) and samples[idx] == now:
+            idx += 1
+        out.append((now, m))
+    out += [(t, free(m, t - now)) for t in samples[idx:]]
+    return out
+
+
 class TestPulseUnitary:
     def test_zero_area_is_identity(self):
         for ch in Channel:
@@ -39,7 +75,7 @@ class TestPulseUnitary:
 
     def test_pi_pulse_swaps_populations(self):
         u = pulse_unitary(Channel.OPTICAL12, PI)
-        rho = apply_unitary(ground_state(), u)
+        rho = conjugate(ground_state(), u)
         assert rho.population(2) == pytest.approx(1.0, abs=1e-12)
         assert rho.population(1) == pytest.approx(0.0, abs=1e-12)
 
@@ -47,12 +83,12 @@ class TestPulseUnitary:
         excited = np.zeros((3, 3), complex)
         excited[1, 1] = 1.0
         u = pulse_unitary(Channel.CONTROL23, PI)
-        rho = apply_unitary(DensityMatrix(excited), u)
+        rho = conjugate(DensityMatrix(excited), u)
         assert rho.population(3) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_fresh_coherence_solution(self):
         u = pulse_unitary(Channel.OPTICAL12, 0.1 * PI)
-        rho = apply_unitary(ground_state(), u)
+        rho = conjugate(ground_state(), u)
         assert max_element_distance(rho, after_data(0.1 * PI)) <= 1e-12
 
     def test_unitarity_over_random_areas(self):
@@ -75,7 +111,7 @@ class TestPulseUnitary:
         u = pulse_unitary(Channel.OPTICAL12, PI)
         for _ in range(20):
             rho = random_valid_state(rng)
-            out = apply_unitary(rho, u)
+            out = conjugate(rho, u)
             assert out.elements[0, 1] == pytest.approx(
                 np.conj(rho.elements[0, 1]), abs=1e-14
             )
@@ -83,13 +119,13 @@ class TestPulseUnitary:
 
 class TestFreeEvolution:
     def test_zero_detuning_is_identity(self):
-        u = free_evolution_unitary(AtomParams(), dt=3.7e-6)
-        np.testing.assert_allclose(u, np.eye(3), atol=1e-15)
+        rho = random_valid_state(np.random.default_rng(15))
+        out = free_evolve(rho, AtomParams(), 3.7e-6)
+        np.testing.assert_allclose(out.elements, rho.elements, atol=1e-15)
 
     def test_optical_phase_rotation_magnitude(self):
         atom = AtomParams(delta=2 * PI * 1e6)
-        u = free_evolution_unitary(atom, dt=0.5e-6)
-        rho = apply_unitary(after_data(0.5 * PI), u)
+        rho = free_evolve(after_data(0.5 * PI), atom, 0.5e-6)
         before = np.angle(after_data(0.5 * PI).elements[0, 1])
         after = np.angle(rho.elements[0, 1])
         turn = (after - before + PI) % (2 * PI) - PI
@@ -101,7 +137,7 @@ class TestFreeEvolution:
         m[0, 0] = m[2, 2] = 0.5
         m[0, 2] = m[2, 0] = 0.5
         atom = AtomParams(delta=2 * PI * 1e6, delta_s=0.0)
-        out = apply_unitary(DensityMatrix(m), free_evolution_unitary(atom, 1.3e-6))
+        out = free_evolve(DensityMatrix(m), atom, 1.3e-6)
         assert out.elements[0, 2] == pytest.approx(0.5, abs=1e-12)
 
     def test_spin_detuning_rotates_spin_coherence(self):
@@ -110,7 +146,7 @@ class TestFreeEvolution:
         m[0, 2] = m[2, 0] = 0.5
         atom = AtomParams(delta=0.0, delta_s=2 * PI * 1e5)
         dt = 2.5e-6
-        out = apply_unitary(DensityMatrix(m), free_evolution_unitary(atom, dt))
+        out = free_evolve(DensityMatrix(m), atom, dt)
         want = 0.5 * np.exp(1j * atom.delta_s * dt)
         assert out.elements[0, 2] == pytest.approx(want, abs=1e-12)
 
@@ -120,8 +156,11 @@ class TestFreeEvolution:
         for _ in range(20):
             rho = random_valid_state(rng)
             before = purity(rho)
-            for u in (free_evolution_unitary(atom, 1e-6), pulse_unitary(Channel.OPTICAL12, 1.1)):
-                assert purity(apply_unitary(rho, u)) == pytest.approx(before, abs=1e-12)
+            for out in (
+                free_evolve(rho, atom, 1e-6),
+                conjugate(rho, pulse_unitary(Channel.OPTICAL12, 1.1)),
+            ):
+                assert purity(out) == pytest.approx(before, abs=1e-12)
 
 
 class TestRunSequenceHard:
@@ -169,6 +208,37 @@ class TestRunSequenceHard:
         _, rho = run_sequence_hard(ground_state(), seq, atom, [t])[-1]
         want = -0.5j * math.sin(0.1 * PI) * np.exp(1j * atom.delta * t)
         assert rho.elements[0, 1] == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pulses=st.lists(
+            st.tuples(
+                st.sampled_from(list(Channel)),
+                st.floats(min_value=-4.0, max_value=4.0),  # area / pi
+                st.integers(min_value=0, max_value=5),  # gap before, 0.1 us
+            ),
+            max_size=4,
+        ),
+        samples=st.lists(st.integers(min_value=0, max_value=25), max_size=8),
+        delta=st.floats(min_value=-2e7, max_value=2e7),
+        delta_s=st.floats(min_value=-2e7, max_value=2e7),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_matches_dense_loop(self, pulses, samples, delta, delta_s, seed):
+        # integer grids let pulses share an instant and samples land on one
+        built, t = [], 0.0
+        for channel, area, gap in pulses:
+            t += gap * 1e-7
+            built.append(Pulse(channel, area * PI, t))
+        seq = PulseSequence(pulses=tuple(built), t_end=2.5e-6)
+        atom = AtomParams(delta=delta, delta_s=delta_s)
+        rho0 = random_valid_state(np.random.default_rng(seed))
+        times = [k * 1e-7 for k in samples]
+        got = run_sequence_hard(rho0, seq, atom, times)
+        want = hard_loop(rho0, seq, atom, times)
+        assert [t for t, _ in got] == [t for t, _ in want]
+        for (_, rho), (_, m) in zip(got, want):
+            assert np.abs(rho.elements - m).max() <= 1e-12
 
     def test_finite_duration_pulse_rejected(self):
         seq = PulseSequence(
