@@ -22,7 +22,7 @@ from .area import PropagationConfig, propagate_area
 from .csvio import CsvWriteError, Table, render_csv, write_csv
 from .ensemble import detect_echoes, predict_echo_times, simulate_ensemble, time_grid
 from .seqfile import SequenceFileError, parse_sequence_file
-from .stages import StageAreas, stage_chain
+from .stages import COLUMNS, StageAreas, observables, stage_chain
 from .sweeps import FigureId, SweepSpec, figure_dataset, run_sweep
 from .verify import run_checks
 
@@ -89,17 +89,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_stages(args) -> int:
-    print("stage,im_rho12,re_rho13,rho11,rho22,rho33")
+    print(",".join(("stage", *COLUMNS)))
     for label, state in stage_chain(_areas_from(args)):
-        m = state.elements
-        vals = (
-            m[0, 1].imag,
-            m[0, 2].real,
-            m[0, 0].real,
-            m[1, 1].real,
-            m[2, 2].real,
-        )
-        print(label + "," + ",".join(f"{v:+.9f}" for v in vals))
+        print(label + "," + ",".join(f"{v:+.9f}" for v in observables(state.elements)))
     return 0
 
 

@@ -80,9 +80,13 @@ def _require(obj: dict, key: str, where: str):
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SequenceFileError("INVALID_VALUE", f"{where} must be a number, got {value!r}")
-    if not math.isfinite(float(value)):
+    try:
+        number = float(value)  # an int beyond the float range overflows here
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
         raise SequenceFileError("INVALID_VALUE", f"{where} must be finite")
-    return float(value)
+    return number
 
 
 def parse_sequence_file(text: str) -> tuple[PulseSequence, EnsembleSpec, GridConfig]:

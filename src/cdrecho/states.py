@@ -220,14 +220,6 @@ class PulseSequence:
         if self.t_end < last:
             raise ValueError(f"t_end {self.t_end} precedes last pulse end {last}")
 
-    @property
-    def optical_pulses(self) -> tuple[Pulse, ...]:
-        return tuple(p for p in self.pulses if p.channel is Channel.OPTICAL12)
-
-    @property
-    def control_pulses(self) -> tuple[Pulse, ...]:
-        return tuple(p for p in self.pulses if p.channel is Channel.CONTROL23)
-
 
 @dataclass(frozen=True)
 class AtomParams:

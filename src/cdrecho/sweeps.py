@@ -11,39 +11,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .csvio import Table
-from .stages import (
-    CANONICAL,
-    HALF_PI,
-    StageAreas,
-    after_c1,
-    after_c2,
-    after_data,
-    after_r1,
-    after_r2_cdr,
-    after_r2_dr,
-)
-from .states import DensityMatrix
+from .stages import CANONICAL, COLUMNS, HALF_PI, STAGES, StageAreas, observables
 
-__all__ = ["SweepSpec", "FigureId", "run_sweep", "figure_dataset", "STAGES", "AREA_NAMES"]
-
-AREA_NAMES = ("phi_d", "phi_r1", "phi_c1", "phi_c2", "phi_r2")
-
-# stage name -> (solver, area names consumed, in call order)
-STAGES: dict[str, tuple] = {
-    "data": (after_data, ("phi_d",)),
-    "r1": (after_r1, ("phi_d", "phi_r1")),
-    "r2_dr": (after_r2_dr, ("phi_d", "phi_r1", "phi_r2")),
-    "c1": (after_c1, ("phi_d", "phi_r1", "phi_c1")),
-    "c2": (after_c2, ("phi_d", "phi_r1", "phi_c1", "phi_c2")),
-    "r2_cdr": (after_r2_cdr, AREA_NAMES),
-}
-
-_COLUMNS = ("im_rho12", "re_rho13", "rho11", "rho22", "rho33")
+__all__ = ["SweepSpec", "FigureId", "run_sweep", "figure_dataset"]
 
 
 @dataclass(frozen=True)
@@ -64,7 +39,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.stage not in STAGES:
             raise ValueError(f"unknown stage {self.stage!r}; choose from {sorted(STAGES)}")
-        _, names = STAGES[self.stage]
+        names, _ = STAGES[self.stage]
         if self.varying not in names:
             raise ValueError(
                 f"stage {self.stage!r} has no area {self.varying!r}; it takes {names}"
@@ -75,33 +50,18 @@ class SweepSpec:
             raise ValueError("steps must be >= 2")
 
 
-def _observables(rho: DensityMatrix) -> tuple[float, float, float, float, float]:
-    m = rho.elements
-    return (
-        float(m[0, 1].imag),
-        float(m[0, 2].real),
-        float(m[0, 0].real),
-        float(m[1, 1].real),
-        float(m[2, 2].real),
-    )
-
-
 def run_sweep(spec: SweepSpec) -> Table:
-    """Evaluate the stage across the grid; one row per grid point."""
-    solver, names = STAGES[spec.stage]
+    """Evaluate the stage across the grid in one call; one row per grid point."""
+    names, form = STAGES[spec.stage]
     grid = np.linspace(spec.lo, spec.hi, spec.steps)
-    rows = np.empty((spec.steps, 1 + len(_COLUMNS)))
-    for i, x in enumerate(grid):
-        areas = replace(spec.fixed, **{spec.varying: float(x)})
-        state = solver(*(getattr(areas, n) for n in names))
-        rows[i, 0] = x
-        rows[i, 1:] = _observables(state)
+    states = form(*(grid if n == spec.varying else getattr(spec.fixed, n) for n in names))
+    rows = np.column_stack([grid, observables(states)])
     meta = [("stage", spec.stage), ("varying", spec.varying)]
     for n in names:
         if n != spec.varying:
             meta.append((f"{n}_pi", format(getattr(spec.fixed, n) / math.pi, ".12g")))
     return Table(
-        columns=(f"{spec.varying}_rad", *_COLUMNS),
+        columns=(f"{spec.varying}_rad", *COLUMNS),
         rows=rows,
         meta=tuple(meta),
     )

@@ -13,6 +13,7 @@ from cdrecho import (
     parse_sequence_file,
     serialize_sequence_file,
 )
+from cdrecho.cli import cli_main
 from cdrecho.seqfile import default_dt
 
 PI = math.pi
@@ -150,6 +151,23 @@ class TestErrorCodes:
         for doc in bad:
             assert self._code(json.dumps(doc)) == "INVALID_VALUE"
 
+    def test_integers_beyond_float_range(self, tmp_path, capsys):
+        # JSON reads a 401-digit number as an int, which float() cannot hold
+        huge = "1" + "0" * 400
+        pulse = '{"channel": "optical12", "area_pi": %s, "t_start": %s}'
+        texts = [
+            '{"pulses": [%s]}' % (pulse % (huge, "0")),
+            '{"pulses": [%s]}' % (pulse % ("1", huge)),
+            '{"pulses": [], "grid": {"t_end": %s}}' % huge,
+            '{"pulses": [], "ensemble": {"sigma_hz": %s}}' % huge,
+        ]
+        for text in texts:
+            assert self._code(text) == "INVALID_VALUE"
+        path = tmp_path / "huge.json"
+        path.write_text(texts[0])
+        assert cli_main(["echo", "--seq", str(path)]) == 2
+        assert "INVALID_VALUE" in capsys.readouterr().err
+
     def test_grid_shorter_than_sequence(self):
         text = json.dumps(
             {
@@ -208,8 +226,8 @@ class TestShippedFiles:
         dr, _, _ = parse_sequence_file((root / "sequences" / "dr.json").read_text())
         cdr, _, _ = parse_sequence_file((root / "sequences" / "cdr.json").read_text())
         assert len(cdr.pulses) == len(dr.pulses) + 2
-        assert len(cdr.control_pulses) == 2
-        assert len(dr.control_pulses) == 0
-        assert [p.t_start for p in dr.optical_pulses] == [
-            p.t_start for p in cdr.optical_pulses
+        assert [p.channel for p in cdr.pulses].count(Channel.CONTROL23) == 2
+        assert all(p.channel is Channel.OPTICAL12 for p in dr.pulses)
+        assert [p.t_start for p in dr.pulses] == [
+            p.t_start for p in cdr.pulses if p.channel is Channel.OPTICAL12
         ]

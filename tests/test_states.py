@@ -184,17 +184,6 @@ class TestPulseTypes:
         with pytest.raises(ValueError):
             PulseSequence(pulses=pulses, t_end=4.0)
 
-    def test_channel_filters(self):
-        seq = PulseSequence(
-            pulses=(
-                Pulse(Channel.OPTICAL12, math.pi, 0.0),
-                Pulse(Channel.CONTROL23, math.pi, 1.0),
-            ),
-            t_end=2.0,
-        )
-        assert len(seq.optical_pulses) == 1
-        assert len(seq.control_pulses) == 1
-
     def test_atom_params_reject_negative_decay(self):
         with pytest.raises(ValueError):
             AtomParams(gamma=(-1.0, 0.0, 0.0))

@@ -1,9 +1,12 @@
 """Area sweeps and the fourteen preset figure datasets."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdrecho import (
     FigureId,
@@ -13,13 +16,24 @@ from cdrecho import (
     render_csv,
     run_sweep,
 )
-from cdrecho.stages import after_c2
+from cdrecho.stages import after_c1, after_c2, after_data, after_r1, after_r2_cdr, after_r2_dr
 from cdrecho.sweeps import FIGURE_GRID_STEPS
 
 PI = math.pi
 SIN_WEAK_HALF = 0.1545084971874737  # sin(0.1 pi) / 2
 
 WEAK = StageAreas(phi_d=0.1 * PI, phi_r1=PI, phi_c1=PI, phi_c2=PI)
+
+# the scalar stage calls, keyed by the sweep's stage names; their parameter
+# names are the area names a sweep of that stage may vary
+SCALAR_STAGES = {
+    "data": after_data,
+    "r1": after_r1,
+    "r2_dr": after_r2_dr,
+    "c1": after_c1,
+    "c2": after_c2,
+    "r2_cdr": after_r2_cdr,
+}
 
 
 class TestSweepSpec:
@@ -55,14 +69,31 @@ class TestRunSweep:
         assert meta["phi_c1_pi"] == "1"
         assert "phi_c2_pi" not in meta
 
-    def test_rows_match_direct_stage_calls(self):
-        spec = SweepSpec(stage="c2", varying="phi_c2", lo=0.0, hi=3 * PI, steps=7, fixed=WEAK)
-        table = run_sweep(spec)
-        for x, im12, re13, r11, r22, r33 in table.rows:
-            rho = after_c2(WEAK.phi_d, WEAK.phi_r1, WEAK.phi_c1, x).elements
-            assert im12 == rho[0, 1].imag
-            assert re13 == rho[0, 2].real
-            assert (r11, r22, r33) == (rho[0, 0].real, rho[1, 1].real, rho[2, 2].real)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        stage=st.sampled_from(sorted(SCALAR_STAGES)),
+        pick=st.integers(0, 4),
+        fixed=st.lists(st.floats(-30.0, 30.0), min_size=5, max_size=5),
+        lo=st.floats(-30.0, 29.0),
+        width=st.floats(0.01, 30.0),
+        steps=st.integers(401, 1000),
+    )
+    def test_rows_match_direct_stage_calls(self, stage, pick, fixed, lo, width, steps):
+        # grids this long run through numpy's SIMD loops, so any expression
+        # whose array form rounds differently from its scalar form shows up
+        solver = SCALAR_STAGES[stage]
+        names = tuple(inspect.signature(solver).parameters)
+        varying = names[pick % len(names)]
+        areas = StageAreas(*fixed)
+        table = run_sweep(SweepSpec(stage, varying, lo, lo + width, steps, areas))
+        want = []
+        for x in table.rows[:, 0]:
+            rho = solver(*(x if n == varying else getattr(areas, n) for n in names)).elements
+            want.append(
+                (rho[0, 1].imag, rho[0, 2].real, rho[0, 0].real, rho[1, 1].real, rho[2, 2].real)
+            )
+        got = np.ascontiguousarray(table.rows[:, 1:])
+        np.testing.assert_array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
 
 
 class TestFigureDatasets:

@@ -1,8 +1,9 @@
 """The benchmark's tracer still finds every function it probes.
 
 `perfbench/tracing.py` looks its probes up by module and function name when
-it installs, and names the ensemble span after the `engine` argument; a
-public-API trim that drops one of those names would break `--trace 1`.
+it installs, names the ensemble span after the `engine` argument and counts
+sweep points from `spec.steps`; a public-API trim that drops one of those
+names would break `--trace 1`.
 """
 
 import importlib.util
@@ -38,3 +39,25 @@ def test_verify_and_echo_record_probe_spans(monkeypatch, capsys):
     assert "ensemble.simulate_hard_s" in names
     assert "integrator.integrate_sequence_s" in names
     assert tracer.counts["ensemble.atom_samples"] > 0
+
+
+def test_figures_sweep_and_stages_record_probe_spans(monkeypatch, capsys, tmp_path):
+    tracer = _load_tracing(monkeypatch).Tracer()
+    tracer.install()
+    steps = 37
+    try:
+        assert cli_main(["figures", "--out", str(tmp_path)]) == 0
+        assert cli_main(
+            ["sweep", "--stage", "c2", "--varying", "phi_c2", "--steps", str(steps),
+             "--out", str(tmp_path / "sweep.csv")]
+        ) == 0
+        assert cli_main(["stages", "--phid", "0.1"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names = {span[2] for span in tracer.spans}
+    assert "sweeps.figure_dataset_s" in names
+    assert "sweeps.run_sweep_s" in names
+    assert "stages.stage_chain_s" in names
+    # every figure's sweep runs through the probed run_sweep
+    assert tracer.counts["sweeps.points"] == 14 * 401 + steps
