@@ -132,7 +132,34 @@ class EchoReport:
         return tuple(e for e in self.events if e.label == label)
 
 
-_TABLE_GAP_RAD = 1e-10  # largest phase error a shared in-block table may add
+_TABLE_GAP_RAD = 1e-10  # largest phase error a shared or doubled table may add
+
+
+def _ladder(off: np.ndarray) -> tuple[np.ndarray, float]:
+    """The uniform ladder off[0] + r h through the end points of off, and h."""
+    h = (off[-1] - off[0]) / max(off.size - 1, 1)
+    return off[0] + h * np.arange(off.size), h
+
+
+def _expi(off: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The table exp(i off_r f_m), shape (len(off), len(f)), for non-empty off.
+
+    When off lies on its ladder o_0 + r h to within _TABLE_GAP_RAD of phase, the
+    table is the ladder's, built by doubling: row 0 is exp(i o_0 f), then rows
+    [j, 2j) are rows [0, j) times exp(i j h f). That is about log2(len(off))
+    exp rows plus len(off) len(f) products; other offsets take one exp per entry.
+    """
+    ladder, h = _ladder(off)
+    if np.abs(off - ladder).max() * np.abs(f).max(initial=0.0) > _TABLE_GAP_RAD:
+        return np.exp(1j * np.multiply.outer(off, f))
+    table = np.empty((off.size, f.size), dtype=complex)
+    table[0] = np.exp(1j * off[0] * f)
+    j = 1
+    while j < off.size:
+        m = min(j, off.size - j)
+        np.multiply(table[:m], np.exp(1j * (j * h) * f), out=table[j : j + m])
+        j *= 2
+    return table
 
 
 def _phase_sum(tau: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -141,27 +168,30 @@ def _phase_sum(tau: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarray:
     Samples go in blocks of B = ceil(sqrt(n)). With tau_k = base_b + off_r the
     phase factors into a per-block column exp(i base_b f) c and an in-block
     table exp(i off_r f), so the blocks that share a table take one matrix
-    product. The first block's table serves every block whose offsets match
-    its own to within _TABLE_GAP_RAD of phase, as on any uniform grid; any
-    other block builds its own. On a uniform grid that is O(sqrt(n) len(f))
-    exponentials in place of n len(f); memory is O(sqrt(n) len(f) q) for any tau.
+    product. The table of the first block's ladder (see _ladder) serves every
+    block whose offsets lie on that ladder to within _TABLE_GAP_RAD of phase,
+    as on any uniform grid; any other block builds its own. Tables and columns
+    come from _expi: on a uniform grid that is about log2(sqrt(n)) exp rows
+    plus sqrt(n) len(f) products per table, in place of n len(f) exponentials,
+    and dense exp otherwise. Memory is O(sqrt(n) len(f) q) for any tau.
     """
     n = tau.size
     size = math.isqrt(n - 1) + 1
     n_blocks = -(-n // size)
     base = tau[::size]
-    ref = tau[:size] - tau[0]
-    offs = np.tile(ref, (n_blocks, 1))  # a short last block is padded with ref
+    ladder, _ = _ladder(tau[:size] - tau[0])
+    offs = np.tile(ladder, (n_blocks, 1))  # a short last block is padded with the ladder
     offs.flat[:n] = tau - np.repeat(base, size)[:n]
-    gap = np.abs(offs - ref).max(axis=1) * np.abs(f).max(initial=0.0)
+    gap = np.abs(offs - ladder).max(axis=1) * np.abs(f).max(initial=0.0)
     fits = gap <= _TABLE_GAP_RAD
-    groups = [(ref, np.flatnonzero(fits))]
+    groups = [(ladder, np.flatnonzero(fits))]
     groups += [(offs[b], [b]) for b in np.flatnonzero(~fits)]
     out = np.empty((n_blocks, size, c.shape[1]), dtype=complex)
     for off, blocks in groups:
-        table = np.exp(1j * np.multiply.outer(off, f))
-        cols = np.exp(1j * np.multiply.outer(f, base[blocks]))[:, :, None] * c[:, None]
-        part = table @ cols.reshape(f.size, -1)
+        if len(blocks) == 0:
+            continue
+        cols = _expi(base[blocks], f).T[:, :, None] * c[:, None]
+        part = _expi(off, f) @ cols.reshape(f.size, -1)
         out[blocks] = part.reshape(size, len(blocks), -1).swapaxes(0, 1)
     return out.reshape(n_blocks * size, -1)[:n]
 

@@ -20,13 +20,16 @@ from .stages import CANONICAL, COLUMNS, HALF_PI, STAGES, StageAreas, observables
 
 __all__ = ["SweepSpec", "FigureId", "run_sweep", "figure_dataset"]
 
+MAX_SWEEP_STEPS = 10**6  # a one-call sweep holds about 280 B per point: 280 MB
+
 
 @dataclass(frozen=True)
 class SweepSpec:
     """One-dimensional area sweep of a named stage.
 
     varying must be one of the stage's area names; lo/hi are radians and the
-    grid has `steps` evenly spaced points including both ends.
+    grid has `steps` evenly spaced points including both ends, at most
+    MAX_SWEEP_STEPS of them.
     """
 
     stage: str
@@ -46,8 +49,8 @@ class SweepSpec:
             )
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)) or self.hi <= self.lo:
             raise ValueError("need finite lo < hi")
-        if self.steps < 2:
-            raise ValueError("steps must be >= 2")
+        if not 2 <= self.steps <= MAX_SWEEP_STEPS:
+            raise ValueError(f"steps must be in [2, {MAX_SWEEP_STEPS}]")
 
 
 def run_sweep(spec: SweepSpec) -> Table:

@@ -41,6 +41,13 @@ class TestUsageErrors:
         assert rc == 2
         assert "unknown stage" in capsys.readouterr().err
 
+    def test_sweep_rejects_steps_past_the_cap(self, capsys):
+        argv = ["sweep", "--stage", "r1", "--varying", "phi_r1", "--steps", "1000001"]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "steps must be in [2, 1000000]" in captured.err
+
 
 class TestFigures:
     def test_writes_all_datasets_deterministically(self, tmp_path, capsys):

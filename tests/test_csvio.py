@@ -111,6 +111,21 @@ class TestRenderCsv:
         want += [",".join(format_float(x) for x in row) for row in rows]
         assert render_csv(t) == "\n".join(want) + "\n"
 
+    def test_trace_sized_table_renders_as_per_cell_format_float(self):
+        # the echo trace's shape: 18001 x 7, with signed zeros, subnormals and
+        # rounding noise near 1e-19 as re_p carries on real-valued traces
+        rng = np.random.default_rng(7)
+        rows = rng.standard_normal((18001, 7))
+        rows[:, 1] *= 1e-19
+        rows[::5, 2] = -0.0
+        rows[1::5, 2] = 0.0
+        rows[::7, 3] = 5e-324 * rng.integers(-9, 10, rows[::7, 3].size)
+        rows[:, 4] = rng.uniform(-1.0, 1.0, 18001) * 1e300
+        t = Table(columns=tuple("abcdefg"), rows=rows)
+        want = [",".join(t.columns)]
+        want += [",".join(format_float(x) for x in row) for row in rows.tolist()]
+        assert render_csv(t) == "\n".join(want) + "\n"
+
 
 class TestWriteCsv:
     def test_bytes_match_render_and_are_stable(self, tmp_path):

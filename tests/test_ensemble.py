@@ -22,7 +22,7 @@ from cdrecho import (
     simulate_ensemble,
     time_grid,
 )
-from cdrecho.ensemble import EchoEvent, _grid, _phase_sum
+from cdrecho.ensemble import _TABLE_GAP_RAD, EchoEvent, _expi, _grid, _phase_sum
 
 PI = math.pi
 US = 1e-6
@@ -161,6 +161,63 @@ class TestTimeGrid:
             time_grid(1.0, 0.0)
         with pytest.raises(ValueError):
             time_grid(-1.0, 0.1)
+
+
+class TestExpi:
+    """_expi against the dense table np.exp(1j * np.outer(off, f))."""
+
+    @staticmethod
+    def freqs(off_max, rng, n_freqs):
+        # |off f| <= 1e3 rad, as in TestPhaseSum
+        return rng.uniform(-1.0, 1.0, n_freqs) * 1e3 / off_max
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        k=st.integers(min_value=1, max_value=3000),
+        h=st.floats(min_value=1e-10, max_value=1e-6),
+        lead=st.floats(min_value=0.0, max_value=3000.0),
+        n_freqs=st.integers(min_value=0, max_value=60),
+        zero=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(k=1, h=1e-8, lead=0.0, n_freqs=5, zero=False, seed=0)
+    @example(k=2, h=1e-8, lead=0.3, n_freqs=5, zero=False, seed=0)
+    @example(k=2, h=1e-8, lead=0.0, n_freqs=0, zero=False, seed=0)
+    @example(k=700, h=1e-8, lead=2.0, n_freqs=7, zero=True, seed=0)
+    def test_uniform_ladder_matches_dense_table(self, k, h, lead, n_freqs, zero, seed):
+        off = (lead + np.arange(k)) * h
+        rng = np.random.default_rng(seed)
+        f = np.zeros(n_freqs) if zero else self.freqs((lead + k) * h, rng, n_freqs)
+        got = _expi(off, f)
+        assert got.shape == (k, n_freqs)
+        dense = np.exp(1j * np.outer(off, f))
+        assert np.abs(got - dense).max(initial=0.0) <= 1e-12
+        if zero:
+            assert np.all(got == 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(min_value=3, max_value=3000),
+        lead=st.floats(min_value=0.0, max_value=3000.0),
+        pick=st.floats(min_value=0.0, max_value=1.0),
+        inside=st.booleans(),
+        n_freqs=st.integers(min_value=1, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_perturbed_ladder_is_doubled_only_inside_the_gap(
+        self, k, lead, pick, inside, n_freqs, seed
+    ):
+        ladder = (lead + np.arange(k)) * 1e-8
+        f = self.freqs(ladder[-1], np.random.default_rng(seed), n_freqs)
+        off = ladder.copy()
+        row = 1 + int(pick * (k - 3))  # an inner row: the end points fix the ladder
+        off[row] += (0.9 if inside else 1.1) * _TABLE_GAP_RAD / np.abs(f).max()
+        got = _expi(off, f)
+        if inside:
+            # the ladder's own table, which the off row misses by 0.9e-10 rad
+            assert np.abs(got - np.exp(1j * np.outer(ladder, f))).max() <= 1e-12
+        else:
+            assert np.array_equal(got, np.exp(1j * np.multiply.outer(off, f)))
 
 
 class TestPhaseSum:
@@ -359,6 +416,50 @@ class TestProtocolEchoes:
         for k, name in enumerate(("pop_ground", "pop_excited", "pop_spin")):
             assert np.max(np.abs(getattr(trace, name) - pops[:, k])) <= 1e-12
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        pulses=st.lists(
+            st.tuples(
+                st.sampled_from(list(Channel)),
+                st.floats(min_value=-3.0, max_value=3.0),  # area / pi
+                st.integers(min_value=3, max_value=40),  # steps since the last pulse
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        lead=st.integers(min_value=0, max_value=20),
+        tail=st.integers(min_value=3, max_value=40),
+        n_atoms=st.sampled_from([3, 9, 31]),
+    )
+    def test_random_hard_sequences_are_weighted_sums_of_single_atoms(
+        self, pulses, lead, tail, n_atoms
+    ):
+        # instants on a 0.1 us grid, every stretch at least 3 samples long, so
+        # the phase sums take their doubled tables
+        spec = EnsembleSpec(n_atoms=n_atoms)
+        steps = np.cumsum([lead] + [gap for _, _, gap in pulses])[1:]
+        times = time_grid((steps[-1] + tail) * 0.1 * US, 0.1 * US)
+        seq = PulseSequence(
+            pulses=tuple(
+                Pulse(ch, area * PI, float(times[k]))
+                for (ch, area, _), k in zip(pulses, steps)
+            ),
+            t_end=float(times[-1]),
+        )
+        trace = simulate_ensemble(seq, spec, times)
+        pol = np.zeros(times.size, dtype=complex)
+        pops = np.zeros((times.size, 3))
+        for delta, weight in zip(*_grid(spec)):
+            out = run_sequence_hard(ground_state(), seq, AtomParams(delta=float(delta)), times)
+            assert [t for t, _ in out] == times.tolist()
+            pol += weight * np.array([rho.elements[0, 1] for _, rho in out])
+            pops += weight * np.array([np.diag(rho.elements).real for _, rho in out])
+        assert np.max(np.abs(trace.polarization - pol)) <= 1e-12
+        got = np.column_stack([trace.pop_ground, trace.pop_excited, trace.pop_spin])
+        assert np.max(np.abs(got - pops)) <= 1e-12
+        assert np.max(np.abs(got.sum(axis=1) - 1.0)) <= 1e-12
+        assert got.min() >= -1e-12 and got.max() <= 1.0 + 1e-12
+
     def test_real_part_stays_zero(self):
         pol = simulate_ensemble(cdr_seq(), self.SPEC, self.TIMES).polarization
         assert np.max(np.abs(pol.real)) <= 1e-12
@@ -520,6 +621,63 @@ class TestDetectEchoes:
         seq = PulseSequence(pulses=tuple(pulses), t_end=max(10 * US, pulses[-1].t_end))
         report = detect_echoes(times, pol, seq, threshold)
         assert report.events == detect_echoes_loop(times, pol, seq, threshold)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_detected_echoes_follow_the_ledger(self, data):
+        # dr: data, r1, r2; cdr adds a control pair after r1, before or after
+        # E1. All instants and both echoes sit on the grid, at least 3 steps
+        # apart, and the window stays 1 us short of the comb revival.
+        dt = 0.05 * US
+        spec = EnsembleSpec(n_atoms=401)
+        horizon = 2 * PI / np.diff(_grid(spec)[0])[0]  # 40 us
+        draw = lambda lo, hi: data.draw(st.integers(min_value=lo, max_value=hi))
+        odd = st.sampled_from([-3, -1, 1, 3])
+        controlled = data.draw(st.booleans())
+        t0, tau = draw(0, 40), draw(6, 120)
+        r1 = t0 + tau
+        pulses = [(Channel.OPTICAL12, data.draw(st.floats(0.05, 0.95)), t0)]
+        pulses.append((Channel.OPTICAL12, data.draw(odd), r1))
+        e1 = r1 + tau
+        if controlled:
+            # the pair returns the coherence rotated by c1 + c2; only a total
+            # of 2 pi mod 4 pi flips its sign, as a pi-pi pair does
+            c1 = data.draw(odd)
+            c2 = data.draw(st.sampled_from([c for c in (-3, -1, 1, 3) if (c - c1) % 4 == 0]))
+            shelve = draw(3, 80)
+            if data.draw(st.booleans()):  # shelved before E1, which it delays
+                start = r1 + draw(3, tau - 3)
+                e1 += shelve
+                r2 = e1 + draw(3, 80)
+                lag = r2 - e1
+            else:  # shelved between E1 and r2
+                start = e1 + draw(3, 80)
+                r2 = start + shelve + draw(3, 80)
+                lag = r2 - e1 - shelve
+            pulses += [(Channel.CONTROL23, c1, start), (Channel.CONTROL23, c2, start + shelve)]
+        else:
+            r2 = e1 + draw(3, 80)
+            lag = r2 - e1
+        pulses.append((Channel.OPTICAL12, data.draw(odd), r2))
+        e2 = r2 + lag
+        t_end = e2 + draw(3, 40)
+        assert (t_end - t0) * dt <= horizon - 1 * US
+        times = time_grid(t_end * dt, dt)
+        seq = PulseSequence(
+            pulses=tuple(Pulse(ch, a * PI, float(times[k])) for ch, a, k in pulses),
+            t_end=float(times[-1]),
+        )
+        predicted = predict_echo_times(seq)
+        assert predicted == pytest.approx([times[e1], times[e2]], abs=1e-3 * dt)
+
+        pol = simulate_ensemble(seq, spec, times).polarization
+        report = detect_echoes(times, pol, seq)
+        # exact odd-pi pulses leave one coherence pathway: no other peaks
+        assert [e.label for e in report.events] == ["E1", "E2"]
+        got1, got2 = report.events
+        assert abs(got1.time - predicted[0]) <= dt * (1 + 1e-9)
+        assert abs(got2.time - predicted[1]) <= dt * (1 + 1e-9)
+        assert got2.im_sign == (1 if controlled else -1)
 
     def test_flat_signal_reports_nothing(self):
         seq = two_pulse_seq(tau=4 * US, t_end=10 * US)

@@ -17,7 +17,7 @@ from cdrecho import (
     run_sweep,
 )
 from cdrecho.stages import after_c1, after_c2, after_data, after_r1, after_r2_cdr, after_r2_dr
-from cdrecho.sweeps import FIGURE_GRID_STEPS
+from cdrecho.sweeps import FIGURE_GRID_STEPS, MAX_SWEEP_STEPS
 
 PI = math.pi
 SIN_WEAK_HALF = 0.1545084971874737  # sin(0.1 pi) / 2
@@ -46,6 +46,14 @@ class TestSweepSpec:
             SweepSpec(stage="r1", varying="phi_r1", lo=1, hi=1, steps=5)
         with pytest.raises(ValueError, match="steps"):
             SweepSpec(stage="r1", varying="phi_r1", lo=0, hi=1, steps=1)
+
+    def test_steps_are_capped(self):
+        # checked at construction, before any grid is allocated
+        assert MAX_SWEEP_STEPS == 10**6
+        spec = SweepSpec(stage="r1", varying="phi_r1", lo=0, hi=1, steps=MAX_SWEEP_STEPS)
+        assert spec.steps == MAX_SWEEP_STEPS
+        with pytest.raises(ValueError, match="steps"):
+            SweepSpec(stage="r1", varying="phi_r1", lo=0, hi=1, steps=MAX_SWEEP_STEPS + 1)
 
 
 class TestRunSweep:
