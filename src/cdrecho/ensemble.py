@@ -35,6 +35,8 @@ __all__ = [
     "EchoEvent",
     "EchoReport",
     "EnsembleTrace",
+    "TRACE_BUDGET_BYTES",
+    "trace_bytes",
     "time_grid",
     "simulate_ensemble",
     "predict_echo_times",
@@ -132,31 +134,20 @@ class EchoReport:
         return tuple(e for e in self.events if e.label == label)
 
 
-_TABLE_GAP_RAD = 1e-10  # largest phase error a shared or doubled table may add
+_TABLE_GAP_RAD = 1e-10  # largest phase error the ladder tables may add
 
 
-def _ladder(off: np.ndarray) -> tuple[np.ndarray, float]:
-    """The uniform ladder off[0] + r h through the end points of off, and h."""
-    h = (off[-1] - off[0]) / max(off.size - 1, 1)
-    return off[0] + h * np.arange(off.size), h
+def _table(t0: float, h: float, k: int, f: np.ndarray) -> np.ndarray:
+    """The table exp(i (t0 + r h) f_m), shape (k, len(f)), built by doubling.
 
-
-def _expi(off: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """The table exp(i off_r f_m), shape (len(off), len(f)), for non-empty off.
-
-    When off lies on its ladder o_0 + r h to within _TABLE_GAP_RAD of phase, the
-    table is the ladder's, built by doubling: row 0 is exp(i o_0 f), then rows
-    [j, 2j) are rows [0, j) times exp(i j h f). That is about log2(len(off))
-    exp rows plus len(off) len(f) products; other offsets take one exp per entry.
+    Row 0 is exp(i t0 f), then rows [j, 2j) are rows [0, j) times exp(i j h f):
+    about log2(k) exp rows plus k len(f) complex products.
     """
-    ladder, h = _ladder(off)
-    if np.abs(off - ladder).max() * np.abs(f).max(initial=0.0) > _TABLE_GAP_RAD:
-        return np.exp(1j * np.multiply.outer(off, f))
-    table = np.empty((off.size, f.size), dtype=complex)
-    table[0] = np.exp(1j * off[0] * f)
+    table = np.empty((k, f.size), dtype=complex)
+    table[0] = np.exp(1j * t0 * f)
     j = 1
-    while j < off.size:
-        m = min(j, off.size - j)
+    while j < k:
+        m = min(j, k - j)
         np.multiply(table[:m], np.exp(1j * (j * h) * f), out=table[j : j + m])
         j *= 2
     return table
@@ -165,35 +156,51 @@ def _expi(off: np.ndarray, f: np.ndarray) -> np.ndarray:
 def _phase_sum(tau: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarray:
     """S[k, q] = sum_m c[m, q] exp(i tau_k f_m) over increasing tau, in bounded memory.
 
-    Samples go in blocks of B = ceil(sqrt(n)). With tau_k = base_b + off_r the
-    phase factors into a per-block column exp(i base_b f) c and an in-block
-    table exp(i off_r f), so the blocks that share a table take one matrix
-    product. The table of the first block's ladder (see _ladder) serves every
-    block whose offsets lie on that ladder to within _TABLE_GAP_RAD of phase,
-    as on any uniform grid; any other block builds its own. Tables and columns
-    come from _expi: on a uniform grid that is about log2(sqrt(n)) exp rows
-    plus sqrt(n) len(f) products per table, in place of n len(f) exponentials,
-    and dense exp otherwise. Memory is O(sqrt(n) len(f) q) for any tau.
+    Samples go in blocks of B = ceil(sqrt(n)). When tau lies on its ladder
+    tau_0 + k h (h through the end points) to within _TABLE_GAP_RAD of phase,
+    as time_grid stretches do, the sum is the ladder's: an in-block table
+    exp(i r h f) times one column exp(i (tau_0 + b B h) f) c per block, in one
+    matrix product. Other times take the dense exp(i tau f) c one block at a
+    time. Memory is O(sqrt(n) len(f) q) either way.
     """
     n = tau.size
     size = math.isqrt(n - 1) + 1
     n_blocks = -(-n // size)
-    base = tau[::size]
-    ladder, _ = _ladder(tau[:size] - tau[0])
-    offs = np.tile(ladder, (n_blocks, 1))  # a short last block is padded with the ladder
-    offs.flat[:n] = tau - np.repeat(base, size)[:n]
-    gap = np.abs(offs - ladder).max(axis=1) * np.abs(f).max(initial=0.0)
-    fits = gap <= _TABLE_GAP_RAD
-    groups = [(ladder, np.flatnonzero(fits))]
-    groups += [(offs[b], [b]) for b in np.flatnonzero(~fits)]
-    out = np.empty((n_blocks, size, c.shape[1]), dtype=complex)
-    for off, blocks in groups:
-        if len(blocks) == 0:
-            continue
-        cols = _expi(base[blocks], f).T[:, :, None] * c[:, None]
-        part = _expi(off, f) @ cols.reshape(f.size, -1)
-        out[blocks] = part.reshape(size, len(blocks), -1).swapaxes(0, 1)
-    return out.reshape(n_blocks * size, -1)[:n]
+    h = (tau[-1] - tau[0]) / max(n - 1, 1)
+    gap = np.abs(tau - (tau[0] + h * np.arange(n))).max() * np.abs(f).max(initial=0.0)
+    if gap > _TABLE_GAP_RAD:
+        out = np.empty((n, c.shape[1]), dtype=complex)
+        for i in range(0, n, size):
+            out[i : i + size] = np.exp(1j * np.multiply.outer(tau[i : i + size], f)) @ c
+        return out
+    cols = _table(tau[0], size * h, n_blocks, f).T[:, :, None] * c[:, None]
+    out = _table(0.0, h, size, f) @ cols.reshape(f.size, -1)
+    return out.reshape(size, n_blocks, -1).swapaxes(0, 1).reshape(n_blocks * size, -1)[:n]
+
+
+TRACE_BUDGET_BYTES = 2 * 1024**3  # the largest trace_bytes an echo run may take on
+
+
+def trace_bytes(n_atoms: float, n_t: float, pulse_samples: float) -> float:
+    """Estimated peak bytes of an echo run, from its sizes alone.
+
+    The run takes n_t samples over n_atoms atoms, and its longest square pulse
+    spans pulse_samples samples (0 for hard pulses). Per sample: the times, P,
+    populations, the trace's copies and the echo CSV rendered from them (about
+    0.56 kB measured). Per atom: the comb and its states. On top, the larger
+    _phase_sum peak: an in-block table of B x F and per-block columns of
+    F x n/B x q complex entries, copied once to reshape when q > 1, with B and
+    n/B at most sqrt(n) + 1. F = n_atoms and q = 1 over a free stretch of up to
+    n_t samples; F = 9 n_atoms and q = 9, plus the coefficients, inside a
+    square pulse. All in floats, so a grid of 1e300 samples is simply too large.
+    """
+
+    def phase_sum(n: float, f: float, q: int) -> float:
+        s = math.sqrt(n) + 1.0
+        return 16.0 * (f * s * (1 + q * (2 if q > 1 else 1)) + f * q + 2.0 * n * q)
+
+    pulse = phase_sum(pulse_samples, 9.0 * n_atoms, 9) if pulse_samples > 0 else 0.0
+    return 640.0 * n_t + 1024.0 * n_atoms + max(phase_sum(n_t, n_atoms, 1), pulse)
 
 
 def _trace(

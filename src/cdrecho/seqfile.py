@@ -21,8 +21,16 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 
-from .ensemble import DEFAULT_N_ATOMS, DEFAULT_SIGMA, DEFAULT_SPAN, EnsembleSpec
+from .ensemble import (
+    DEFAULT_N_ATOMS,
+    DEFAULT_SIGMA,
+    DEFAULT_SPAN,
+    TRACE_BUDGET_BYTES,
+    EnsembleSpec,
+    trace_bytes,
+)
 from .states import Channel, Pulse, PulseOverlapError, PulseSequence
 
 __all__ = [
@@ -32,8 +40,6 @@ __all__ = [
     "serialize_sequence_file",
     "default_dt",
 ]
-
-from dataclasses import dataclass
 
 US = 1e-6
 TWO_PI = 2.0 * math.pi
@@ -165,6 +171,14 @@ def parse_sequence_file(text: str) -> tuple[PulseSequence, EnsembleSpec, GridCon
         raise SequenceFileError("OVERLAPPING_PULSES", str(exc)) from exc
     except ValueError as exc:
         raise SequenceFileError("INVALID_VALUE", str(exc)) from exc
+    longest = max((p.duration for p in pulses), default=0.0)
+    need = trace_bytes(spec.n_atoms, t_end / dt + 2.0, longest / dt + 1.0 if longest else 0.0)
+    if need > TRACE_BUDGET_BYTES:
+        raise SequenceFileError(
+            "PROBLEM_TOO_LARGE",
+            f"{spec.n_atoms} atoms over {t_end / dt:.3g} steps of dt need about "
+            f"{need / 2**30:.3g} GiB, past the {TRACE_BUDGET_BYTES / 2**30:g} GiB budget",
+        )
     return seq, spec, grid
 
 

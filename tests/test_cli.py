@@ -1,6 +1,8 @@
 """Exit codes, output formats and file emission of the command line tool."""
 
+import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from cdrecho import (
     verify,
 )
 from cdrecho.cli import cli_main
+from cdrecho.ensemble import trace_bytes
 
 ROOT = Path(__file__).resolve().parents[1]
 FIGURE_NAMES = {
@@ -177,6 +180,56 @@ class TestEcho:
         rc = cli_main(["echo", "--seq", str(bad)])
         assert rc == 2
         assert "UNKNOWN_CHANNEL" in capsys.readouterr().err
+
+    def test_trace_past_the_memory_budget_is_a_usage_error(self, tmp_path, capsys):
+        # 4.5e10 samples: the sample times alone would take 335 GiB
+        seq = tmp_path / "huge.json"
+        seq.write_text(
+            '{"pulses": [{"channel": "optical12", "area_pi": 0.1, "t_start": 0.0}],'
+            ' "grid": {"t_end": 45, "dt": 1e-9}}'
+        )
+        tracemalloc.start()
+        try:
+            rc = cli_main(["echo", "--seq", str(seq)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert "PROBLEM_TOO_LARGE" in capsys.readouterr().err
+        assert peak <= 1e6
+
+    @pytest.mark.parametrize(
+        "n_atoms, t_end, dt, duration",
+        [
+            (201, 45.0, 0.005, 0.0),
+            (2001, 9.0, 0.01, 0.0),
+            (61, 9.0, 0.005, 0.2),
+            (1001, 4.0, 0.01, 0.5),
+        ],
+    )
+    def test_echo_peak_stays_under_its_estimate(
+        self, tmp_path, capsys, n_atoms, t_end, dt, duration
+    ):
+        pulses = [
+            {"channel": "optical12", "area_pi": 0.3, "t_start": 0.0, "duration": duration},
+            {"channel": "optical12", "area_pi": 1.0, "t_start": 1.0, "duration": duration},
+            {"channel": "control23", "area_pi": 1.0, "t_start": 2.0, "duration": duration},
+        ]
+        grid = {"t_end": t_end, "dt": dt}
+        doc = {"pulses": pulses, "ensemble": {"n_atoms": n_atoms}, "grid": grid}
+        seq = tmp_path / "seq.json"
+        seq.write_text(json.dumps(doc))
+        engine = "ode" if duration else "hard"
+        argv = ["echo", "--seq", str(seq), "--engine", engine, "--out", str(tmp_path / "t.csv")]
+        tracemalloc.start()
+        try:
+            assert cli_main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        pulse_samples = duration / dt + 1.0 if duration else 0.0
+        assert peak <= trace_bytes(n_atoms, t_end / dt + 2.0, pulse_samples)
 
     def test_no_echo_sequence_reports_none(self, tmp_path, capsys):
         seq = tmp_path / "fid.json"

@@ -21,8 +21,9 @@ from cdrecho import (
     run_sequence_hard,
     simulate_ensemble,
     time_grid,
+    validate,
 )
-from cdrecho.ensemble import _TABLE_GAP_RAD, EchoEvent, _expi, _grid, _phase_sum
+from cdrecho.ensemble import _TABLE_GAP_RAD, EchoEvent, _grid, _phase_sum
 
 PI = math.pi
 US = 1e-6
@@ -163,63 +164,6 @@ class TestTimeGrid:
             time_grid(-1.0, 0.1)
 
 
-class TestExpi:
-    """_expi against the dense table np.exp(1j * np.outer(off, f))."""
-
-    @staticmethod
-    def freqs(off_max, rng, n_freqs):
-        # |off f| <= 1e3 rad, as in TestPhaseSum
-        return rng.uniform(-1.0, 1.0, n_freqs) * 1e3 / off_max
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        k=st.integers(min_value=1, max_value=3000),
-        h=st.floats(min_value=1e-10, max_value=1e-6),
-        lead=st.floats(min_value=0.0, max_value=3000.0),
-        n_freqs=st.integers(min_value=0, max_value=60),
-        zero=st.booleans(),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    @example(k=1, h=1e-8, lead=0.0, n_freqs=5, zero=False, seed=0)
-    @example(k=2, h=1e-8, lead=0.3, n_freqs=5, zero=False, seed=0)
-    @example(k=2, h=1e-8, lead=0.0, n_freqs=0, zero=False, seed=0)
-    @example(k=700, h=1e-8, lead=2.0, n_freqs=7, zero=True, seed=0)
-    def test_uniform_ladder_matches_dense_table(self, k, h, lead, n_freqs, zero, seed):
-        off = (lead + np.arange(k)) * h
-        rng = np.random.default_rng(seed)
-        f = np.zeros(n_freqs) if zero else self.freqs((lead + k) * h, rng, n_freqs)
-        got = _expi(off, f)
-        assert got.shape == (k, n_freqs)
-        dense = np.exp(1j * np.outer(off, f))
-        assert np.abs(got - dense).max(initial=0.0) <= 1e-12
-        if zero:
-            assert np.all(got == 1.0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        k=st.integers(min_value=3, max_value=3000),
-        lead=st.floats(min_value=0.0, max_value=3000.0),
-        pick=st.floats(min_value=0.0, max_value=1.0),
-        inside=st.booleans(),
-        n_freqs=st.integers(min_value=1, max_value=60),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_perturbed_ladder_is_doubled_only_inside_the_gap(
-        self, k, lead, pick, inside, n_freqs, seed
-    ):
-        ladder = (lead + np.arange(k)) * 1e-8
-        f = self.freqs(ladder[-1], np.random.default_rng(seed), n_freqs)
-        off = ladder.copy()
-        row = 1 + int(pick * (k - 3))  # an inner row: the end points fix the ladder
-        off[row] += (0.9 if inside else 1.1) * _TABLE_GAP_RAD / np.abs(f).max()
-        got = _expi(off, f)
-        if inside:
-            # the ladder's own table, which the off row misses by 0.9e-10 rad
-            assert np.abs(got - np.exp(1j * np.outer(ladder, f))).max() <= 1e-12
-        else:
-            assert np.array_equal(got, np.exp(1j * np.multiply.outer(off, f)))
-
-
 class TestPhaseSum:
     """_phase_sum against the dense sum exp(1j * outer(tau, f)) @ c."""
 
@@ -264,10 +208,71 @@ class TestPhaseSum:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_non_uniform_times_match_dense_sum(self, n, n_freqs, columns, seed):
-        # blocks whose offsets differ from the first block's build their own table
+        # times off a uniform ladder take the dense sum, one block at a time
         rng = np.random.default_rng(seed)
         tau = np.cumsum(rng.exponential(1e-8, n))
         self.check(tau, tau[-1], rng, n_freqs, columns)
+
+    @staticmethod
+    def dense_blocks(tau, f, c):
+        # exp(i tau f) c one block of ceil(sqrt(n)) samples at a time, the
+        # same operations as _phase_sum's off-ladder path
+        size = math.isqrt(tau.size - 1) + 1
+        blocks = [tau[i : i + size] for i in range(0, tau.size, size)]
+        return np.concatenate([np.exp(1j * np.multiply.outer(b, f)) @ c for b in blocks])
+
+    @staticmethod
+    def moved_ladder(n, lead, pick, n_freqs, columns, seed, by):
+        """A ladder, the same with one inner sample moved by `by` gaps, f and c."""
+        ladder = (lead + np.arange(n)) * 1e-8
+        rng = np.random.default_rng(seed)
+        f = rng.uniform(-1.0, 1.0, n_freqs) * 1e3 / ladder[-1]
+        shape = (n_freqs, columns)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        tau = ladder.copy()
+        tau[1 + int(pick * (n - 3))] += by * _TABLE_GAP_RAD / np.abs(f).max()
+        return ladder, tau, f, c
+
+    ladder_cases = given(
+        n=st.integers(min_value=3, max_value=3000),
+        lead=st.floats(min_value=0.0, max_value=3000.0),
+        pick=st.floats(min_value=0.0, max_value=1.0),
+        n_freqs=st.integers(min_value=1, max_value=60),
+        columns=st.sampled_from([1, 9]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+
+    @settings(max_examples=30, deadline=None)
+    @ladder_cases
+    def test_sample_past_the_gap_takes_the_dense_sum(
+        self, n, lead, pick, n_freqs, columns, seed
+    ):
+        # the end points fix the ladder, so an inner sample 1.1 gaps off it
+        # leaves the ladder tables for the dense blocked sum
+        _, tau, f, c = self.moved_ladder(n, lead, pick, n_freqs, columns, seed, 1.1)
+        assert np.array_equal(_phase_sum(tau, f, c), self.dense_blocks(tau, f, c))
+
+    @settings(max_examples=30, deadline=None)
+    @ladder_cases
+    def test_sample_inside_the_gap_takes_the_ladder(
+        self, n, lead, pick, n_freqs, columns, seed
+    ):
+        # 0.9 gaps off the ladder, the sum is the unmoved ladder's
+        ladder, tau, f, c = self.moved_ladder(n, lead, pick, n_freqs, columns, seed, 0.9)
+        assert np.array_equal(_phase_sum(tau, f, c), _phase_sum(ladder, f, c))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 700, 3000])
+    @pytest.mark.parametrize("n_freqs", [1, 7])
+    def test_zero_frequencies_match_dense_sum(self, n, n_freqs):
+        # every phase is 0, whatever tau: S_k = sum_m c[m]
+        rng = np.random.default_rng(n)
+        tau = np.cumsum(rng.exponential(1e-8, n))
+        f = np.zeros(n_freqs)
+        c = rng.standard_normal((n_freqs, 9)) + 1j * rng.standard_normal((n_freqs, 9))
+        got = _phase_sum(tau, f, c)
+        dense = np.exp(1j * np.outer(tau, f)) @ c
+        assert got.shape == dense.shape == (n, 9)
+        assert np.all(np.abs(got - dense).max(axis=0) <= 1e-12 * np.abs(c).sum(axis=0))
 
     def test_wide_comb_trace_memory_is_bounded(self):
         # 2001 atoms x 18001 samples: a dense phase matrix alone would be 576 MB
@@ -452,6 +457,7 @@ class TestProtocolEchoes:
         for delta, weight in zip(*_grid(spec)):
             out = run_sequence_hard(ground_state(), seq, AtomParams(delta=float(delta)), times)
             assert [t for t, _ in out] == times.tolist()
+            assert all(validate(rho).ok for _, rho in out)
             pol += weight * np.array([rho.elements[0, 1] for _, rho in out])
             pops += weight * np.array([np.diag(rho.elements).real for _, rho in out])
         assert np.max(np.abs(trace.polarization - pol)) <= 1e-12

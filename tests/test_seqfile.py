@@ -14,6 +14,7 @@ from cdrecho import (
     serialize_sequence_file,
 )
 from cdrecho.cli import cli_main
+from cdrecho.ensemble import TRACE_BUDGET_BYTES, trace_bytes
 from cdrecho.seqfile import default_dt
 
 PI = math.pi
@@ -206,6 +207,72 @@ class TestRoundTrip:
         doc = json.loads(text)
         assert set(doc) == {"pulses", "ensemble", "grid"}
         assert doc["pulses"][0]["area_pi"] == pytest.approx(0.1)
+
+
+class TestSizeBudget:
+    """PROBLEM_TOO_LARGE at the edge of the trace budget; parsing builds no trace."""
+
+    @staticmethod
+    def doc(n_atoms, t_end, dt, duration):
+        return json.dumps(
+            {
+                "pulses": [
+                    {
+                        "channel": "optical12",
+                        "area_pi": 0.5,
+                        "t_start": 1.0,
+                        "duration": duration,
+                    }
+                ],
+                "ensemble": {"n_atoms": n_atoms},
+                "grid": {"t_end": t_end, "dt": dt},
+            }
+        )
+
+    def code(self, *args):
+        try:
+            parse_sequence_file(self.doc(*args))
+        except SequenceFileError as exc:
+            return exc.code
+        return None
+
+    @pytest.mark.parametrize(
+        "n_atoms, duration", [(3, 0.0), (2001, 0.0), (200001, 0.0), (61, 0.2), (2001, 0.2)]
+    )
+    def test_window_just_inside_the_budget_parses(self, n_atoms, duration):
+        dt = 0.005
+        pulse = duration / dt + 1.0 if duration else 0.0
+        lo, hi = 2.0, 1e15  # samples, bisected to where the estimate meets the budget
+        for _ in range(200):
+            mid = math.sqrt(lo * hi)
+            fits = trace_bytes(n_atoms, mid, pulse) <= TRACE_BUDGET_BYTES
+            lo, hi = (mid, hi) if fits else (lo, mid)
+        t_end = (lo - 2.0) * dt
+        assert t_end > 1.0 + duration
+        assert self.code(n_atoms, t_end * (1 - 1e-6), dt, duration) is None
+        assert self.code(n_atoms, t_end * (1 + 1e-6), dt, duration) == "PROBLEM_TOO_LARGE"
+
+    @pytest.mark.parametrize("duration", [0.0, 0.2])
+    def test_atoms_just_past_the_budget_are_refused(self, duration):
+        lo, hi = 1, 2**40  # odd atom counts 2 lo + 1 fit, 2 hi + 1 do not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            fits = self.code(2 * mid + 1, 45.0, 0.005, duration) is None
+            lo, hi = (mid, hi) if fits else (lo, mid)
+        assert self.code(2 * lo + 1, 45.0, 0.005, duration) is None
+        assert self.code(2 * hi + 1, 45.0, 0.005, duration) == "PROBLEM_TOO_LARGE"
+
+    def test_shipped_cdr_at_200001_atoms_fits(self):
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+        doc = json.loads((root / "sequences" / "cdr.json").read_text())
+        doc["ensemble"]["n_atoms"] = 200001
+        _, spec, _ = parse_sequence_file(json.dumps(doc))
+        assert spec.n_atoms == 200001
+
+    def test_overflowing_sample_count_is_too_large(self):
+        assert self.code(3, 1e300, 1e-300, 0.0) == "PROBLEM_TOO_LARGE"
 
 
 class TestShippedFiles:
