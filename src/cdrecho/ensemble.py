@@ -37,6 +37,7 @@ __all__ = [
     "EnsembleTrace",
     "TRACE_BUDGET_BYTES",
     "trace_bytes",
+    "check_trace_budget",
     "time_grid",
     "simulate_ensemble",
     "predict_echo_times",
@@ -203,6 +204,16 @@ def trace_bytes(n_atoms: float, n_t: float, pulse_samples: float) -> float:
     return 640.0 * n_t + 1024.0 * n_atoms + max(phase_sum(n_t, n_atoms, 1), pulse)
 
 
+def check_trace_budget(n_atoms: float, n_t: float, pulse_samples: float) -> None:
+    """Raise ValueError if trace_bytes passes TRACE_BUDGET_BYTES."""
+    need = trace_bytes(n_atoms, n_t, pulse_samples)
+    if need > TRACE_BUDGET_BYTES:
+        raise ValueError(
+            f"{n_atoms} atoms over {n_t:.3g} samples need about {need / 2**30:.3g} GiB, "
+            f"past the {TRACE_BUDGET_BYTES / 2**30:g} GiB budget"
+        )
+
+
 def _trace(
     seq: PulseSequence,
     deltas: np.ndarray,
@@ -251,14 +262,14 @@ def simulate_ensemble(
     engine="hard" treats every pulse as an instantaneous rotation (requires
     zero durations); engine="ode" propagates square envelopes exactly
     (requires finite durations). Both run the same piecewise-exact trace.
+    A run whose trace_bytes estimate passes TRACE_BUDGET_BYTES is refused with
+    ValueError before any array of the comb exists.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-d array")
     if np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be strictly increasing and >= 0")
-    deltas, weights = _grid(spec)
-    delta_s = np.zeros_like(deltas)
     if engine == "hard":
         if any(not p.is_hard for p in seq.pulses):
             raise ValueError("hard engine requires zero-duration pulses")
@@ -267,6 +278,10 @@ def simulate_ensemble(
             raise ValueError("ode engine requires finite pulse durations")
     else:
         raise ValueError(f"unknown engine {engine!r}")
+    inside = [np.searchsorted(times, (p.t_start, p.t_end)) for p in seq.pulses]
+    check_trace_budget(spec.n_atoms, times.size, max((j - i for i, j in inside), default=0))
+    deltas, weights = _grid(spec)
+    delta_s = np.zeros_like(deltas)
     pol, pops = _trace(seq, deltas, delta_s, weights, times)
     return EnsembleTrace(
         times=times,

@@ -27,9 +27,8 @@ from .ensemble import (
     DEFAULT_N_ATOMS,
     DEFAULT_SIGMA,
     DEFAULT_SPAN,
-    TRACE_BUDGET_BYTES,
     EnsembleSpec,
-    trace_bytes,
+    check_trace_budget,
 )
 from .states import Channel, Pulse, PulseOverlapError, PulseSequence
 
@@ -172,13 +171,12 @@ def parse_sequence_file(text: str) -> tuple[PulseSequence, EnsembleSpec, GridCon
     except ValueError as exc:
         raise SequenceFileError("INVALID_VALUE", str(exc)) from exc
     longest = max((p.duration for p in pulses), default=0.0)
-    need = trace_bytes(spec.n_atoms, t_end / dt + 2.0, longest / dt + 1.0 if longest else 0.0)
-    if need > TRACE_BUDGET_BYTES:
-        raise SequenceFileError(
-            "PROBLEM_TOO_LARGE",
-            f"{spec.n_atoms} atoms over {t_end / dt:.3g} steps of dt need about "
-            f"{need / 2**30:.3g} GiB, past the {TRACE_BUDGET_BYTES / 2**30:g} GiB budget",
+    try:
+        check_trace_budget(
+            spec.n_atoms, t_end / dt + 2.0, longest / dt + 1.0 if longest else 0.0
         )
+    except ValueError as exc:
+        raise SequenceFileError("PROBLEM_TOO_LARGE", str(exc)) from exc
     return seq, spec, grid
 
 

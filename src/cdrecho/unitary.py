@@ -99,7 +99,7 @@ def stretches(
             rho = _free_rotation(rho, lam, gap)
         if p.is_hard:
             full = pulse_unitary(p.channel, p.area)
-            rho = np.einsum("ab,nbc,dc->nad", full, rho, np.conj(full))
+            rho = np.einsum("ab,nbc,dc->nad", full, rho, np.conj(full), optimize=True)
         else:
             w, v = _square_eigen(p, deltas, delta_s)
             vt = np.swapaxes(v, 1, 2)

@@ -1,13 +1,50 @@
 """Deterministic CSV rendering and the numeric table container."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdrecho import CsvWriteError, Table, format_float, render_csv, write_csv
+from cdrecho import CsvWriteError, Table, cli, format_float, render_csv, write_csv
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# the values whose text a run must keep: signed zeros, the smallest subnormal,
+# rounding noise and exactly representable numbers
+RUN_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.0, 0.5, -2.16840434497e-19, 1e300]
+
+
+def per_cell(table: Table) -> str:
+    """The CSV text built cell by cell with format_float."""
+    lines = ["# " + " ".join(f"{k}={v}" for k, v in table.meta)] if table.meta else []
+    lines.append(",".join(table.columns))
+    lines += [",".join(format_float(x) for x in row) for row in table.rows.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def table_of(rows) -> Table:
+    rows = np.asarray(rows, dtype=float)
+    return Table(columns=tuple(f"c{k}" for k in range(rows.shape[1])), rows=rows)
+
+
+@st.composite
+def piecewise_constant_tables(draw):
+    """Columns made of runs 1 to 3 m rows long, m the column count."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=12 * m))
+    value = st.one_of(
+        st.sampled_from(RUN_VALUES), st.floats(allow_nan=False, allow_infinity=False)
+    )
+    columns = []
+    for _ in range(m):
+        column: list[float] = []
+        while len(column) < n:
+            column += [draw(value)] * draw(st.integers(min_value=1, max_value=3 * m))
+        columns.append(column[:n])
+    return table_of(np.array(columns).T)
 
 
 class TestFormatFloat:
@@ -80,6 +117,12 @@ class TestRenderCsv:
         t = Table(columns=("x",), rows=np.array([[1.0], [2.0]]))
         assert "\r" not in render_csv(t)
 
+    def test_percent_signs_in_names_and_meta_are_literal(self):
+        # the file is one % template: header text must not be read as a format
+        t = Table(columns=("x%", "%s"), rows=np.array([[1.0, 2.0]]), meta=(("src", "5%d"),))
+        assert render_csv(t) == "# src=5%d\nx%,%s\n1,2\n"
+        assert render_csv(Table(columns=("%%",), rows=np.zeros((0, 1)))) == "%%\n"
+
     def test_non_finite_cell_refused(self):
         t = Table(columns=("x",), rows=np.array([[math.inf]]))
         with pytest.raises(CsvWriteError):
@@ -125,6 +168,71 @@ class TestRenderCsv:
         want = [",".join(t.columns)]
         want += [",".join(format_float(x) for x in row) for row in rows.tolist()]
         assert render_csv(t) == "\n".join(want) + "\n"
+
+
+class TestRenderRuns:
+    """Runs of more than a row's width of bit-identical cells are formatted
+    once; the bytes must stay those of format_float on every cell."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=piecewise_constant_tables())
+    def test_piecewise_constant_columns_render_as_per_cell_format_float(self, table):
+        assert render_csv(table) == per_cell(table)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7])
+    def test_signed_zeros_are_different_runs(self, m):
+        # -0.0 == 0.0, but their texts differ: runs split on the bit pattern
+        column = ([0.0] * (m + 2) + [-0.0] * (m + 2)) * 3
+        rows = np.column_stack([column] + [np.arange(len(column), dtype=float)] * (m - 1))
+        text = render_csv(table_of(rows))
+        assert text == per_cell(table_of(rows))
+        firsts = [line.split(",")[0] for line in text.splitlines()[1:]]
+        assert firsts.count("-0") == firsts.count("0") == 3 * (m + 2)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_subnormal_runs(self, m):
+        column = [5e-324] * (3 * m) + [-5e-324] * (m + 1) + [0.0] * (m + 1)
+        rows = np.column_stack([column] * m)
+        assert render_csv(table_of(rows)) == per_cell(table_of(rows))
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("length", ["m", "m+1"])
+    def test_runs_at_both_ends_and_at_the_hold_threshold(self, m, length):
+        # runs of exactly m rows are formatted cell by cell, m + 1 rows are held
+        k = m + (length == "m+1")
+        rng = np.random.default_rng(m)
+        rows = rng.standard_normal((4 * k + 3, m))
+        rows[:k] = 1.0 / 3.0  # opens at the first row
+        rows[-k:] = 2.0 / 3.0  # closes at the last row
+        rows[k + 1 : 2 * k + 1, 0] = -0.25
+        rows[2 * k + 1 : 3 * k + 1, -1] = 0.75  # starts where the run above ends
+        assert render_csv(table_of(rows)) == per_cell(table_of(rows))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0.0]],
+            [[-0.0]],
+            [[5e-324, 5e-324, -0.0, 0.0]],
+            [[1.0]] * 5,
+            [[-0.0], [-0.0], [0.0], [0.0], [0.0], [-0.0]],
+            [[0.1]] * 3 + [[0.2]] * 1 + [[0.1]] * 2,
+        ],
+        ids=["cell", "negative-zero", "row", "column-run", "column-zeros", "column-mixed"],
+    )
+    def test_one_row_and_one_column_tables(self, rows):
+        assert render_csv(table_of(rows)) == per_cell(table_of(rows))
+
+    def test_cdr_echo_table_renders_as_per_cell_format_float(self, monkeypatch, capsys):
+        # the table `cdrecho echo --out` writes for the shipped cdr sequence
+        tables = []
+        monkeypatch.setattr(cli, "write_csv", lambda table, path: tables.append(table))
+        seq = str(ROOT / "sequences" / "cdr.json")
+        assert cli.cli_main(["echo", "--seq", seq, "--out", "unused.csv"]) == 0
+        capsys.readouterr()
+        (table,) = tables
+        assert table.rows.shape == (9001, 7)
+        assert render_csv(table) == per_cell(table)
 
 
 class TestWriteCsv:

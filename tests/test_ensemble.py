@@ -23,7 +23,14 @@ from cdrecho import (
     time_grid,
     validate,
 )
-from cdrecho.ensemble import _TABLE_GAP_RAD, EchoEvent, _grid, _phase_sum
+from cdrecho.ensemble import (
+    _TABLE_GAP_RAD,
+    TRACE_BUDGET_BYTES,
+    EchoEvent,
+    _grid,
+    _phase_sum,
+    trace_bytes,
+)
 
 PI = math.pi
 US = 1e-6
@@ -805,6 +812,36 @@ class TestOdeEngine:
             simulate_ensemble(seq, spec, np.array([0.0, 0.0, 1.0]))
         with pytest.raises(ValueError):
             simulate_ensemble(seq, spec, np.array([-1.0, 0.0]))
+
+
+class TestSizeBudget:
+    """Library calls meet the same budget as sequence files, before any array
+    of the comb exists."""
+
+    @pytest.mark.parametrize(
+        "n_atoms, duration, engine", [(2**20 + 1, 0.0, "hard"), (20001, 44.0 * US, "ode")]
+    )
+    def test_trace_past_the_budget_is_refused_before_allocating(
+        self, n_atoms, duration, engine
+    ):
+        # 9001 samples: over 2 GiB for a million-atom comb, or for 20001 atoms
+        # inside a square pulse that spans the window
+        seq = PulseSequence(
+            pulses=(Pulse(Channel.OPTICAL12, 0.5 * PI, 0.5 * US, duration=duration),),
+            t_end=45 * US,
+        )
+        spec = EnsembleSpec(n_atoms=n_atoms)
+        times = time_grid(45 * US, 0.005 * US)
+        pulse_samples = int(np.sum((times >= 0.5 * US) & (times < 0.5 * US + duration)))
+        assert trace_bytes(n_atoms, times.size, pulse_samples) > TRACE_BUDGET_BYTES
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="GiB budget"):
+                simulate_ensemble(seq, spec, times, engine=engine)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1e6
 
 
 class TestTraceContainer:
