@@ -117,20 +117,20 @@ def _cmd_echo(args) -> int:
             f"|P|={e.amplitude:.6e} ImP={e.im_sign * e.amplitude:+.6e}"
         )
     if args.out is not None:
-        rows = np.column_stack(
-            [
-                times / US,
-                trace.polarization.real,
-                trace.polarization.imag,
-                np.abs(trace.polarization),
-                trace.pop_ground,
-                trace.pop_excited,
-                trace.pop_spin,
-            ]
-        )
+        # Table keeps its own copy, so the stacked rows die with this call
         table = Table(
             columns=("t_us", "re_p", "im_p", "abs_p", "rho11", "rho22", "rho33"),
-            rows=rows,
+            rows=np.column_stack(
+                [
+                    times / US,
+                    trace.polarization.real,
+                    trace.polarization.imag,
+                    np.abs(trace.polarization),
+                    trace.pop_ground,
+                    trace.pop_excited,
+                    trace.pop_spin,
+                ]
+            ),
             meta=(("source", Path(args.seq).name), ("engine", args.engine)),
         )
         write_csv(table, args.out)

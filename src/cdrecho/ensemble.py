@@ -14,6 +14,12 @@ pulses alike; this module keeps only the weighted comb sums. The `engine`
 name only states which pulses a sequence may hold; the RK4 integrator is the
 independent oracle.
 
+On a free stretch both the sample times and the comb's detunings are uniform
+ladders, so the comb sum is a chirp-z transform: segmented FFT convolutions
+with a chirp, O(n_t log n_atoms) where the sizes favour it. Square pulses sum
+over beat frequencies, which are no ladder, with a ladder table of the times
+and one matrix product; see `_phase_sum`.
+
 Sign convention: Im P < 0 is an absorptive signal, Im P > 0 emissive.
 """
 
@@ -138,43 +144,164 @@ class EchoReport:
 _TABLE_GAP_RAD = 1e-10  # largest phase error the ladder tables may add
 
 
-def _table(t0: float, h: float, k: int, f: np.ndarray) -> np.ndarray:
-    """The table exp(i (t0 + r h) f_m), shape (k, len(f)), built by doubling.
+def _rows(first: np.ndarray, factor, k: int) -> np.ndarray:
+    """Rows first * factor(1)^r for r < k, shape (k, len(first)), by doubling.
 
-    Row 0 is exp(i t0 f), then rows [j, 2j) are rows [0, j) times exp(i j h f):
-    about log2(k) exp rows plus k len(f) complex products.
+    Rows [j, 2j) are rows [0, j) times factor(j), the row that steps r by j:
+    about log2(k) calls of factor plus k len(first) complex products.
     """
-    table = np.empty((k, f.size), dtype=complex)
-    table[0] = np.exp(1j * t0 * f)
+    rows = np.empty((k, first.size), dtype=complex)
+    rows[0] = first
     j = 1
     while j < k:
         m = min(j, k - j)
-        np.multiply(table[:m], np.exp(1j * (j * h) * f), out=table[j : j + m])
+        np.multiply(rows[:m], factor(j), out=rows[j : j + m])
         j *= 2
-    return table
+    return rows
+
+
+def _table(t0: float, h: float, k: int, f: np.ndarray) -> np.ndarray:
+    """The table exp(i (t0 + r h) f_m), shape (k, len(f)), by doubling."""
+    return _rows(np.exp(1j * t0 * f), lambda j: np.exp(1j * (j * h) * f), k)
+
+
+def _ladder(x: np.ndarray) -> tuple[float, float]:
+    """The step of the ladder x_0 + k step through x's end points, and x's
+    largest distance from it."""
+    step = (x[-1] - x[0]) / max(x.size - 1, 1)
+    return step, float(np.abs(x - (x[0] + step * np.arange(x.size))).max())
+
+
+_INV_TWO_PI = 54157620742477409023451113735280473968  # 2**128 / (2 pi), rounded
+
+
+def _cycles(a: float, b: float) -> tuple[float, float]:
+    """a b / (2 pi) as hi + lo in two floats, exact to about 1e-32 of it."""
+    (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
+    num = na * nb * _INV_TWO_PI
+    den = (da * db) << 128
+    hi = num / den  # int / int rounds correctly
+    nh, dh = hi.as_integer_ratio()
+    return hi, (num * dh - nh * den) / (den * dh)
+
+
+def _turns(x: tuple[float, float], j: np.ndarray) -> np.ndarray:
+    """(hi + lo) j modulo 1, in [-1/2, 1/2], for integer-valued 0 <= j < 2**53.
+
+    hi is cut to the top bits whose product with every j is exact, so the
+    whole turns of that part drop out before any rounding; the rest of hi and
+    lo then add a few turns at most, with an error of about 1e-16 turns.
+    """
+    hi, lo = x
+    j = np.asarray(j, dtype=float)
+    shift = 53 - int(j.max(initial=0.0)).bit_length() - math.frexp(hi)[1]
+    top = math.ldexp(round(math.ldexp(hi, shift)), -shift)
+    turns = j * top
+    turns -= np.round(turns)
+    turns += j * ((hi - top) + lo)
+    turns -= np.round(turns)
+    return turns
+
+
+def _segments(n: int, n_freqs: int) -> tuple[int, int, int]:
+    """FFT length L, segment size P = L - F + 1 and segment count of a chirp-z
+    sum of n samples over F = n_freqs frequencies: L is the power of two
+    >= F + min(n, F) - 1, so a stretch shorter than the comb is one segment."""
+    length = 1 << (n_freqs + min(n, n_freqs) - 2).bit_length()
+    seg = length - n_freqs + 1
+    return length, seg, -(-n // seg)
+
+
+def _chirp_pays(n: int, n_freqs: int) -> bool:
+    """Whether the chirp-z sum of n samples over n_freqs ladder frequencies
+    costs less than the ladder table's matrix product.
+
+    Costs count one complex multiply-add of the table's product (about 0.25 ns
+    on one core) as 1: a complex exp costs about 140, a point of the chirp-z's
+    batched FFT passes about 110 and its set-up about 1e5, fitted to timings
+    of both sums over 10 to 30000 samples and 21 to 8001 frequencies.
+    """
+    length, seg, n_segs = _segments(n, n_freqs)
+    table = n * n_freqs + 140.0 * n_freqs * math.log2(n + 1)
+    chirp = 1e5 + 110.0 * n_segs * length + 140.0 * (2 * seg + n_freqs * math.log2(n_segs + 1))
+    return chirp < table
+
+
+def _chirp_sum(
+    t0: float, h: float, f0: float, d: float, c: np.ndarray, n: int
+) -> np.ndarray:
+    """S[k, q] = sum_m c[m, q] exp(i (t0 + k h)(f0 + m d)) for k < n, by chirp-z.
+
+    With k m = (k^2 + m^2 - (k - m)^2) / 2, exp(i h d k m) = w_k w_m conj(w_(k-m))
+    for the chirp w_j = exp(i alpha j^2 / 2), alpha = h d, so the sum over m is
+    one convolution with conj(w). Outputs go in segments of P = L - F + 1
+    (_segments, F = len(c)): segment s's input is c w times exp(i tau_k0 f),
+    tau_k0 = t0 + s P h, and all segments take one batched FFT of length L.
+    Every phase is taken in turns, from constants such as beta = alpha / 4 pi
+    held to about 1e-32 (_cycles) and reduced modulo 1 exactly (_turns), so
+    no phase error grows with |tau f|. O(n log F) time and O(n + F) memory.
+    """
+    n_freqs = c.shape[0]
+    length, seg, n_segs = _segments(n, n_freqs)
+    m = np.arange(n_freqs, dtype=float)
+    beta = _cycles(h, 0.5 * d)  # alpha / 4 pi
+    per_sample = _cycles(h, f0)
+    per_lag = _cycles(h, d)  # the turns of exp(i alpha k m) per unit of k m
+    turns = _turns(beta, np.square(np.arange(max(seg, n_freqs), dtype=float)))
+    w = np.exp(2j * math.pi * turns)
+    kernel = np.empty(length, dtype=complex)
+    kernel[:seg] = w[:seg].conj()
+    kernel[seg:] = w[n_freqs - 1 : 0 : -1].conj()
+
+    # segment inputs' rows exp(i tau_k0 f), k0 = 0, P, 2P, ...
+    first = _turns(_cycles(t0, f0), 1.0) + _turns(_cycles(t0, d), m)
+    mod = _rows(
+        np.exp(2j * math.pi * first),
+        lambda j: np.exp(
+            2j * math.pi * (_turns(per_sample, j * seg) + _turns(per_lag, j * seg * m))
+        ),
+        n_segs,
+    )
+    x = mod[:, None, :] * (c.T * w[:n_freqs])
+    del mod
+    spectrum = np.fft.fft(x, n=length, axis=-1)
+    del x
+    spectrum *= np.fft.fft(kernel)
+    out = np.fft.ifft(spectrum, axis=-1)[..., :seg]
+    del spectrum
+    out *= np.exp(2j * math.pi * (_turns(per_sample, np.arange(seg)) + turns[:seg]))
+    return out.swapaxes(1, 2).reshape(n_segs * seg, -1)[:n]
 
 
 def _phase_sum(tau: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarray:
     """S[k, q] = sum_m c[m, q] exp(i tau_k f_m) over increasing tau, in bounded memory.
 
-    Samples go in blocks of B = ceil(sqrt(n)). When tau lies on its ladder
-    tau_0 + k h (h through the end points) to within _TABLE_GAP_RAD of phase,
-    as time_grid stretches do, the sum is the ladder's: an in-block table
-    exp(i r h f) times one column exp(i (tau_0 + b B h) f) c per block, in one
-    matrix product. Other times take the dense exp(i tau f) c one block at a
-    time. Memory is O(sqrt(n) len(f) q) either way.
+    When tau lies on its ladder tau_0 + k h (h through the end points) to
+    within _TABLE_GAP_RAD of phase, as time_grid stretches do, the sum is the
+    ladder's. If f lies on its own ladder too, as the comb of a free stretch
+    does, with both gaps' phase errors together within _TABLE_GAP_RAD, and the
+    sizes favour it (_chirp_pays), the sum is a chirp-z transform
+    (_chirp_sum). Otherwise samples go in blocks of B = ceil(sqrt(n)): an
+    in-block table exp(i r h f) times one column exp(i (tau_0 + b B h) f) c per
+    block, in one matrix product. Times off their ladder take the dense
+    exp(i tau f) c one block at a time. Memory is O(sqrt(n) len(f) q) for the
+    blocks and O((n + len(f)) q) for the chirp-z.
     """
     n = tau.size
     size = math.isqrt(n - 1) + 1
     n_blocks = -(-n // size)
-    h = (tau[-1] - tau[0]) / max(n - 1, 1)
-    gap = np.abs(tau - (tau[0] + h * np.arange(n))).max() * np.abs(f).max(initial=0.0)
-    if gap > _TABLE_GAP_RAD:
+    h, tau_gap = _ladder(tau)
+    f_max = np.abs(f).max(initial=0.0)
+    if tau_gap * f_max > _TABLE_GAP_RAD:
         out = np.empty((n, c.shape[1]), dtype=complex)
         for i in range(0, n, size):
             out[i : i + size] = np.exp(1j * np.multiply.outer(tau[i : i + size], f)) @ c
         return out
-    cols = _table(tau[0], size * h, n_blocks, f).T[:, :, None] * c[:, None]
+    if _chirp_pays(n, f.size):
+        d, f_gap = _ladder(f)
+        if tau_gap * f_max + f_gap * np.abs(tau).max() <= _TABLE_GAP_RAD:
+            return _chirp_sum(tau[0], h, f[0], d, c, n)
+    cols = np.multiply(_table(tau[0], size * h, n_blocks, f).T[:, :, None], c[:, None], order="C")
     out = _table(0.0, h, size, f) @ cols.reshape(f.size, -1)
     return out.reshape(size, n_blocks, -1).swapaxes(0, 1).reshape(n_blocks * size, -1)[:n]
 
@@ -188,17 +315,21 @@ def trace_bytes(n_atoms: float, n_t: float, pulse_samples: float) -> float:
     The run takes n_t samples over n_atoms atoms, and its longest square pulse
     spans pulse_samples samples (0 for hard pulses). Per sample: the times, P,
     populations, the trace's copies and the echo CSV rendered from them (about
-    0.56 kB measured). Per atom: the comb and its states. On top, the larger
-    _phase_sum peak: an in-block table of B x F and per-block columns of
-    F x n/B x q complex entries, copied once to reshape when q > 1, with B and
-    n/B at most sqrt(n) + 1. F = n_atoms and q = 1 over a free stretch of up to
-    n_t samples; F = 9 n_atoms and q = 9, plus the coefficients, inside a
-    square pulse. All in floats, so a grid of 1e300 samples is simply too large.
+    0.42 kB measured). Per atom: the comb and its states. On top, the larger
+    _phase_sum peak over F frequencies and q columns. The ladder table holds
+    an in-block table of B x F and per-block columns of F x n/B x q complex
+    entries, with B and n/B at most sqrt(n) + 1. The chirp-z holds at most
+    (7 n + 24 F) q: two spectra of up to (2 n + L) q entries each, the output,
+    and the chirp and its kernel, with the FFT length L <= 4 F. F = n_atoms
+    and q = 1 over a free stretch of up to n_t samples; F = 9 n_atoms and
+    q = 9, plus the coefficients, inside a square pulse. All in floats, so a
+    grid of 1e300 samples is simply too large.
     """
 
     def phase_sum(n: float, f: float, q: int) -> float:
         s = math.sqrt(n) + 1.0
-        return 16.0 * (f * s * (1 + q * (2 if q > 1 else 1)) + f * q + 2.0 * n * q)
+        table = f * s * (1 + q) + f * q + 2.0 * n * q
+        return 16.0 * max(table, (7.0 * n + 24.0 * f) * q)
 
     pulse = phase_sum(pulse_samples, 9.0 * n_atoms, 9) if pulse_samples > 0 else 0.0
     return 640.0 * n_t + 1024.0 * n_atoms + max(phase_sum(n_t, n_atoms, 1), pulse)

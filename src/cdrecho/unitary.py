@@ -98,8 +98,11 @@ def stretches(
         if gap != 0.0:
             rho = _free_rotation(rho, lam, gap)
         if p.is_hard:
-            full = pulse_unitary(p.channel, p.area)
-            rho = np.einsum("ab,nbc,dc->nad", full, rho, np.conj(full), optimize=True)
+            # u rho u^H for every atom, as two fixed matrix products over the
+            # batch: u times every atom's rows, then every row times u^H
+            u = pulse_unitary(p.channel, p.area)
+            left = u @ rho.swapaxes(0, 1).reshape(3, -1)
+            rho = (left.reshape(-1, 3) @ u.conj().T).reshape(3, -1, 3).swapaxes(0, 1)
         else:
             w, v = _square_eigen(p, deltas, delta_s)
             vt = np.swapaxes(v, 1, 2)

@@ -203,6 +203,7 @@ class TestEcho:
         [
             (201, 45.0, 0.005, 0.0),
             (2001, 9.0, 0.01, 0.0),
+            (20001, 9.0, 0.01, 0.0),
             (61, 9.0, 0.005, 0.2),
             (1001, 4.0, 0.01, 0.5),
         ],

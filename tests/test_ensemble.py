@@ -2,6 +2,8 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,12 +25,18 @@ from cdrecho import (
     time_grid,
     validate,
 )
+from cdrecho import ensemble
 from cdrecho.ensemble import (
     _TABLE_GAP_RAD,
     TRACE_BUDGET_BYTES,
     EchoEvent,
+    _chirp_pays,
+    _chirp_sum,
+    _cycles,
     _grid,
+    _ladder,
     _phase_sum,
+    _turns,
     trace_bytes,
 )
 
@@ -37,6 +45,8 @@ US = 1e-6
 SIN_WEAK_HALF = 0.1545084971874737  # sin(0.1 pi) / 2
 POP_WEAK = 0.024471741852423214  # sin^2(0.05 pi)
 POP_INVERTED = 0.9755282581475768  # cos^2(0.05 pi)
+TWO_PI_MHZ = 2 * PI * 1e6
+TWO_PI_EXACT = Fraction("6.28318530717958647692528676655900576839433879875021")
 
 
 def hard_seq(*pulses, t_end):
@@ -280,6 +290,145 @@ class TestPhaseSum:
         dense = np.exp(1j * np.outer(tau, f)) @ c
         assert got.shape == dense.shape == (n, 9)
         assert np.all(np.abs(got - dense).max(axis=0) <= 1e-12 * np.abs(c).sum(axis=0))
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).nmant < 63, reason="the oracle needs extended long double"
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=20000),
+        n_freqs=st.integers(min_value=1, max_value=3000),
+        columns=st.sampled_from([1, 9]),
+        phase=st.floats(min_value=0.0, max_value=6e3),
+        h=st.floats(min_value=1e-10, max_value=1e-6),
+        lead=st.floats(min_value=0.0, max_value=3000.0),
+        descending=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(9001, 3000, 1, 6e3, 5e-9, 0.0, False, 2)
+    @example(20000, 1, 9, 1e5, 1e-8, 0.0, False, 0)
+    @example(20000, 2, 1, 1e5, 1e-8, 1.0, True, 1)
+    @example(5000, 17, 9, 1e5, 3e-9, 100.0, True, 4)
+    def test_chirp_sum_matches_dense_ladder_sum(
+        self, n, n_freqs, columns, phase, h, lead, descending, seed
+    ):
+        # the exact sum over the ladders (t0 + k h)(f0 + m d), in long double at
+        # 64 rows, so that only the chirp-z's own errors show; the examples at
+        # 1e5 rad (a millisecond window) hold that they do not grow with |tau f|
+        t0 = lead * h
+        f_max = phase / (t0 + (n - 1) * h) if n > 1 or t0 > 0 else 0.0
+        sign = -1.0 if descending else 1.0
+        f0 = -sign * f_max if n_freqs > 1 else sign * f_max
+        d = sign * 2.0 * f_max / max(n_freqs - 1, 1) if n_freqs > 1 else 0.0
+        rng = np.random.default_rng(seed)
+        shape = (n_freqs, columns)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = _chirp_sum(t0, h, f0, d, c, n)
+        assert got.shape == (n, columns)
+        rows = np.unique(np.r_[0, n - 1, rng.integers(0, n, 62)])
+        ld = np.longdouble
+        phases = np.multiply.outer(
+            ld(t0) + ld(h) * rows.astype(ld), ld(f0) + ld(d) * np.arange(n_freqs).astype(ld)
+        )
+        want = (np.cos(phases) + 1j * np.sin(phases)) @ c.astype(np.clongdouble)
+        scale = np.abs(c).sum(axis=0)
+        assert np.all(np.abs(got[rows] - want).max(axis=0) <= 1e-12 * scale)
+
+    @staticmethod
+    def moved_comb(n, n_freqs, pick, columns, seed, by):
+        """Ladder times, a comb, the comb with one inner frequency moved by `by`
+        gaps, and coefficients."""
+        tau = (3.0 + np.arange(n)) * 1e-8
+        f = np.linspace(-1.0, 1.0, n_freqs) * 1e3 / tau[-1]
+        rng = np.random.default_rng(seed)
+        shape = (n_freqs, columns)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        moved = f.copy()
+        moved[1 + int(pick * (n_freqs - 3))] += by * _TABLE_GAP_RAD / tau[-1]
+        return tau, f, moved, c
+
+    comb_cases = given(
+        n=st.integers(min_value=500, max_value=5000),
+        n_freqs=st.integers(min_value=1001, max_value=2501),
+        pick=st.floats(min_value=0.0, max_value=1.0),
+        columns=st.sampled_from([1, 9]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+
+    @settings(max_examples=20, deadline=None)
+    @comb_cases
+    def test_frequency_inside_the_gap_takes_the_chirp_z(
+        self, n, n_freqs, pick, columns, seed
+    ):
+        # 0.9 gaps off the comb's ladder, the sum is the unmoved ladder's chirp-z
+        tau, f, moved, c = self.moved_comb(n, n_freqs, pick, columns, seed, 0.9)
+        assert _chirp_pays(n, n_freqs)
+        h, d = _ladder(tau)[0], _ladder(f)[0]
+        want = _chirp_sum(tau[0], h, f[0], d, c, n)
+        assert np.array_equal(_phase_sum(tau, moved, c), want)
+        assert np.array_equal(_phase_sum(tau, f, c), want)
+
+    @settings(max_examples=20, deadline=None)
+    @comb_cases
+    def test_frequency_past_the_gap_takes_the_table(self, n, n_freqs, pick, columns, seed):
+        # 1.1 gaps off the comb's ladder, the sum is the ladder table's
+        tau, _, moved, c = self.moved_comb(n, n_freqs, pick, columns, seed, 1.1)
+        got = _phase_sum(tau, moved, c)
+        with mock.patch.object(ensemble, "_chirp_pays", return_value=False):
+            assert np.array_equal(got, _phase_sum(tau, moved, c))
+
+    @pytest.mark.parametrize(
+        "beta, j",
+        [
+            # alpha / 4 pi of echo-wide (0.01 us steps, 2001 atoms) at index
+            # max(P, F) - 1 of a long stretch, of 200001 atoms, and a descending comb
+            ((0.01e-6, 0.5 * TWO_PI_MHZ * 10 / 2000), 2095),
+            ((0.005e-6, 0.5 * TWO_PI_MHZ * 10 / 200000), 200000),
+            ((1e-8, -0.5 * 6e3 / 5e-5 / 2999), 5192),
+        ],
+    )
+    def test_chirp_turns_at_the_largest_index_are_exact(self, beta, j):
+        x = _cycles(*beta)
+        exact = Fraction(beta[0]) * Fraction(beta[1]) / TWO_PI_EXACT
+        assert abs(Fraction(x[0]) + Fraction(x[1]) - exact) <= abs(exact) * Fraction(1, 10**30)
+        want = exact * j * j
+        want -= round(want)
+        got = _turns(x, np.arange(j + 1, dtype=float) ** 2)
+        assert abs(Fraction(float(got[-1])) - want) <= Fraction(1, 10**15)
+        assert np.all(np.abs(got) <= 0.5)
+
+    def test_echo_wide_comb_takes_the_chirp_z_and_finite_comb_the_table(self):
+        # the chirp-z wins for 2001 atoms over stretches of thousands of
+        # samples; 61 atoms over at most 300 samples stay with the table
+        assert all(_chirp_pays(n, 2001) for n in range(200, 18002, 100))
+        assert not any(_chirp_pays(n, 61) for n in range(1, 301))
+        seq = hard_seq(
+            (Channel.OPTICAL12, 0.3 * PI, 1 * US),
+            (Channel.OPTICAL12, PI, 20 * US),
+            (Channel.CONTROL23, PI, 25 * US),
+            (Channel.CONTROL23, PI, 45 * US),
+            (Channel.OPTICAL12, PI, 95 * US),
+            t_end=180 * US,
+        )
+        times = time_grid(180 * US, 0.01 * US)
+        with mock.patch.object(ensemble, "_chirp_sum", wraps=_chirp_sum) as spy:
+            simulate_ensemble(seq, EnsembleSpec(n_atoms=2001), times)
+        assert spy.call_count == 6  # every free stretch
+        finite = PulseSequence(
+            pulses=(
+                Pulse(Channel.OPTICAL12, 0.3 * PI, 0.0, duration=0.2 * US),
+                Pulse(Channel.OPTICAL12, PI, 2.0 * US, duration=0.2 * US),
+            ),
+            t_end=9 * US,
+        )
+        with mock.patch.object(ensemble, "_chirp_sum", wraps=_chirp_sum) as spy:
+            simulate_ensemble(
+                finite,
+                EnsembleSpec(sigma=TWO_PI_MHZ * 0.6, n_atoms=61, span=4.0),
+                time_grid(9 * US, 0.01 * US),
+                engine="ode",
+            )
+        assert spy.call_count == 0
 
     def test_wide_comb_trace_memory_is_bounded(self):
         # 2001 atoms x 18001 samples: a dense phase matrix alone would be 576 MB
