@@ -19,12 +19,7 @@ from .ensemble import (
     time_grid,
 )
 from .integrator import DriveSample, integrate_sequence, rhs, rk4_step
-from .seqfile import (
-    GridConfig,
-    SequenceFileError,
-    parse_sequence_file,
-    serialize_sequence_file,
-)
+from .seqfile import GridConfig, SequenceFileError, parse_sequence_file
 from .stages import (
     StageAreas,
     after_c1,
@@ -42,7 +37,6 @@ from .states import (
     Pulse,
     PulseSequence,
     ValidationReport,
-    coherence,
     ground_state,
     max_element_distance,
     purity,
@@ -79,7 +73,6 @@ __all__ = [
     "after_r1",
     "after_r2_cdr",
     "after_r2_dr",
-    "coherence",
     "detect_echoes",
     "figure_dataset",
     "format_float",
@@ -96,7 +89,6 @@ __all__ = [
     "rk4_step",
     "run_sequence_hard",
     "run_sweep",
-    "serialize_sequence_file",
     "simulate_ensemble",
     "stage_chain",
     "time_grid",

@@ -15,11 +15,14 @@ import numpy as np
 
 __all__ = ["PropagationConfig", "propagate_area"]
 
+MAX_AREA_STEPS = 10**6  # the (z, phi) table holds 16 B per step: 16 MB
+
 
 @dataclass(frozen=True)
 class PropagationConfig:
     """Initial area (radians), absorption coefficient alpha (1/length),
-    propagation depth z_max and step dz (same length unit)."""
+    propagation depth z_max and step dz (same length unit); z_max/dz rounded
+    up is at most MAX_AREA_STEPS."""
 
     phi0: float
     alpha: float
@@ -35,6 +38,8 @@ class PropagationConfig:
             raise ValueError("z_max must be finite and >= 0")
         if not math.isfinite(self.dz) or self.dz <= 0:
             raise ValueError("dz must be positive")
+        if self.z_max / self.dz > MAX_AREA_STEPS:  # ceil(x) > N exactly when x > N
+            raise ValueError(f"z_max/dz must be at most {MAX_AREA_STEPS} steps")
 
 
 def _slope(phi: float, alpha: float) -> float:

@@ -12,6 +12,7 @@ which is radians.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -21,12 +22,12 @@ import numpy as np
 from .area import PropagationConfig, propagate_area
 from .csvio import CsvWriteError, Table, render_csv, write_csv
 from .ensemble import detect_echoes, predict_echo_times, simulate_ensemble, time_grid
-from .seqfile import SequenceFileError, parse_sequence_file
+from .seqfile import parse_sequence_file
 from .stages import COLUMNS, StageAreas, observables, stage_chain
 from .sweeps import FigureId, SweepSpec, figure_dataset, run_sweep
 from .verify import run_checks
 
-__all__ = ["build_parser", "cli_main", "main"]
+__all__ = ["cli_main", "main"]
 
 US = 1e-6
 
@@ -100,7 +101,7 @@ def _cmd_echo(args) -> int:
     seq, spec, grid = parse_sequence_file(text)
     times = time_grid(grid.t_end, grid.dt)
     trace = simulate_ensemble(seq, spec, times, engine=args.engine)
-    report = detect_echoes(times, trace.polarization, seq, args.threshold)
+    report = detect_echoes(times, trace.polarization, seq)
 
     predicted = predict_echo_times(seq)
     if predicted:
@@ -139,7 +140,7 @@ def _cmd_echo(args) -> int:
 
 
 def _cmd_propagate(args) -> int:
-    dz = args.dz if args.dz is not None else max(args.zmax / 1000.0, 1e-12)
+    dz = max(args.zmax / 1000.0, 1e-12)
     config = PropagationConfig(phi0=args.phi0, alpha=args.alpha, z_max=args.zmax, dz=dz)
     samples = propagate_area(config)
     table = Table(
@@ -166,7 +167,9 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cdrecho",
         description="Three-level photon-echo simulator and verification suite.",
@@ -194,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("echo", help="simulate an ensemble sequence file")
     p.add_argument("--seq", required=True, help="JSON sequence file")
     p.add_argument("--engine", choices=("hard", "ode"), default="hard")
-    p.add_argument("--threshold", type=float, default=0.2, help="peak fraction (default 0.2)")
     p.add_argument("--out", default=None, help="optional trace CSV path")
     p.set_defaults(func=_cmd_echo)
 
@@ -202,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi0", type=float, required=True, help="initial area, radians")
     p.add_argument("--alpha", type=float, required=True, help="absorption coefficient")
     p.add_argument("--zmax", type=float, required=True, help="propagation depth")
-    p.add_argument("--dz", type=float, default=None, help="step (default zmax/1000)")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=_cmd_propagate)
 
@@ -213,16 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except SequenceFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CsvWriteError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 3

@@ -14,7 +14,8 @@ SI units (seconds, rad/s, radians). Example:
 
 "pulses" is required (may be empty); "ensemble" and "grid" fall back to the
 defaults below. Default t_end is twice the last pulse end; default dt
-resolves the fastest comb beat with 40 samples per period.
+resolves the fastest comb beat with 40 samples per period. A field not shown
+here is refused, so a misspelt one cannot silently take its default.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "GridConfig",
     "SequenceFileError",
     "parse_sequence_file",
-    "serialize_sequence_file",
     "default_dt",
 ]
 
@@ -82,6 +82,14 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _known(obj: dict, fields: tuple[str, ...], where: str) -> None:
+    for key in obj:
+        if key not in fields:
+            raise SequenceFileError(
+                "INVALID_VALUE", f"{where} has unknown field {key!r} (known: {', '.join(fields)})"
+            )
+
+
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SequenceFileError("INVALID_VALUE", f"{where} must be a number, got {value!r}")
@@ -104,6 +112,7 @@ def parse_sequence_file(text: str) -> tuple[PulseSequence, EnsembleSpec, GridCon
         ) from exc
     if not isinstance(doc, dict):
         raise SequenceFileError("SYNTAX_ERROR", "top level must be an object")
+    _known(doc, ("pulses", "ensemble", "grid"), "sequence")
 
     raw_pulses = _require(doc, "pulses", "sequence")
     if not isinstance(raw_pulses, list):
@@ -113,6 +122,7 @@ def parse_sequence_file(text: str) -> tuple[PulseSequence, EnsembleSpec, GridCon
         where = f"pulses[{k}]"
         if not isinstance(entry, dict):
             raise SequenceFileError("INVALID_VALUE", f"{where} must be an object")
+        _known(entry, ("channel", "area_pi", "t_start", "duration"), where)
         chan_name = _require(entry, "channel", where)
         if chan_name not in _CHANNELS:
             raise SequenceFileError(
@@ -137,6 +147,7 @@ def parse_sequence_file(text: str) -> tuple[PulseSequence, EnsembleSpec, GridCon
     ens_doc = doc.get("ensemble", {})
     if not isinstance(ens_doc, dict):
         raise SequenceFileError("INVALID_VALUE", "'ensemble' must be an object")
+    _known(ens_doc, ("sigma_hz", "n_atoms", "span"), "ensemble")
     sigma_hz = _number(ens_doc.get("sigma_hz", DEFAULT_SIGMA / TWO_PI), "ensemble.sigma_hz")
     n_atoms = ens_doc.get("n_atoms", DEFAULT_N_ATOMS)
     if isinstance(n_atoms, bool) or not isinstance(n_atoms, int):
@@ -152,6 +163,7 @@ def parse_sequence_file(text: str) -> tuple[PulseSequence, EnsembleSpec, GridCon
     grid_doc = doc.get("grid", {})
     if not isinstance(grid_doc, dict):
         raise SequenceFileError("INVALID_VALUE", "'grid' must be an object")
+    _known(grid_doc, ("t_end", "dt"), "grid")
     last_end = max((p.t_end for p in pulses), default=0.0)
     t_end = (
         _number(grid_doc["t_end"], "grid.t_end") * US
@@ -179,26 +191,3 @@ def parse_sequence_file(text: str) -> tuple[PulseSequence, EnsembleSpec, GridCon
         raise SequenceFileError("PROBLEM_TOO_LARGE", str(exc)) from exc
     return seq, spec, grid
 
-
-def serialize_sequence_file(
-    seq: PulseSequence, spec: EnsembleSpec, grid: GridConfig
-) -> str:
-    """Inverse of parse_sequence_file, emitting the external units."""
-    doc = {
-        "pulses": [
-            {
-                "channel": p.channel.value,
-                "area_pi": p.area / math.pi,
-                "t_start": p.t_start / US,
-                "duration": p.duration / US,
-            }
-            for p in seq.pulses
-        ],
-        "ensemble": {
-            "sigma_hz": spec.sigma / TWO_PI,
-            "n_atoms": spec.n_atoms,
-            "span": spec.span,
-        },
-        "grid": {"t_end": grid.t_end / US, "dt": grid.dt / US},
-    }
-    return json.dumps(doc, indent=2) + "\n"

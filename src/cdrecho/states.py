@@ -26,7 +26,6 @@ __all__ = [
     "Violation",
     "ground_state",
     "validate",
-    "coherence",
     "max_element_distance",
     "purity",
 ]
@@ -86,16 +85,6 @@ def ground_state() -> DensityMatrix:
     rho = np.zeros((3, 3), dtype=complex)
     rho[0, 0] = 1.0
     return DensityMatrix(rho)
-
-
-def coherence(rho: DensityMatrix, i: int, j: int) -> complex:
-    """Off-diagonal element rho_ij with 1-based level indices, i != j."""
-    for idx in (i, j):
-        if idx not in (1, 2, 3):
-            raise IndexError(f"level index must be 1, 2 or 3, got {idx}")
-    if i == j:
-        raise ValueError("coherence requires two distinct levels")
-    return complex(rho.elements[i - 1, j - 1])
 
 
 def max_element_distance(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -1,11 +1,13 @@
 """Area propagation pinned against the separable exact solution."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cdrecho import PropagationConfig, propagate_area
+from cdrecho.area import MAX_AREA_STEPS
 
 PI = math.pi
 
@@ -81,3 +83,20 @@ class TestPropagateArea:
             PropagationConfig(1.0, 1.0, -1.0, 0.1)
         with pytest.raises(ValueError):
             PropagationConfig(1.0, 1.0, 1.0, 0.0)
+
+    def test_step_cap_refused_before_any_array(self):
+        # dz = 1e-15 once asked propagate_area for a 14 PiB table
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"at most {MAX_AREA_STEPS} steps"):
+                PropagationConfig(0.1, 1.0, 1.0, 1e-15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1e6
+
+    def test_step_cap_edges(self):
+        PropagationConfig(0.1, 1.0, float(MAX_AREA_STEPS), 1.0)
+        for z_max, dz in ((MAX_AREA_STEPS + 1.0, 1.0), (1.0, 5e-324)):  # the second is inf
+            with pytest.raises(ValueError, match="steps"):
+                PropagationConfig(0.1, 1.0, z_max, dz)

@@ -1,5 +1,6 @@
 """Exit codes, output formats and file emission of the command line tool."""
 
+import argparse
 import json
 import math
 import tracemalloc
@@ -50,6 +51,36 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "steps must be in [2, 1000000]" in captured.err
+
+
+class TestParser:
+    def test_second_call_builds_no_parser(self, monkeypatch, capsys):
+        assert cli_main(["stages", "--phid", "0.1"]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert cli_main(["stages", "--phid", "0.1"]) == 0
+        assert cli_main(["frobnicate"]) == 2
+        capsys.readouterr()
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["echo", "--seq", str(ROOT / "sequences" / "dr.json"), "--threshold", "0.5"],
+            ["propagate", "--phi0", "0.1", "--alpha", "1", "--zmax", "1", "--dz", "1e-15"],
+        ],
+    )
+    def test_removed_options_are_usage_errors(self, argv, capsys):
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
 
 
 class TestFigures:

@@ -1,4 +1,4 @@
-"""JSON sequence-file parsing, defaults, error codes and round-tripping."""
+"""JSON sequence-file parsing, defaults, error codes and the size budget."""
 
 import json
 import math
@@ -11,7 +11,6 @@ from cdrecho import (
     GridConfig,
     SequenceFileError,
     parse_sequence_file,
-    serialize_sequence_file,
 )
 from cdrecho.cli import cli_main
 from cdrecho.ensemble import TRACE_BUDGET_BYTES, trace_bytes
@@ -185,28 +184,40 @@ class TestErrorCodes:
             )
 
 
-class TestRoundTrip:
-    def test_serialize_then_parse(self):
-        seq, spec, grid = parse_sequence_file(GOOD)
-        text = serialize_sequence_file(seq, spec, grid)
-        seq2, spec2, grid2 = parse_sequence_file(text)
-        assert spec2 == spec
-        assert grid2.t_end == pytest.approx(grid.t_end, rel=1e-12)
-        assert grid2.dt == pytest.approx(grid.dt, rel=1e-12)
-        assert len(seq2.pulses) == len(seq.pulses)
-        for a, b in zip(seq.pulses, seq2.pulses):
-            assert a.channel is b.channel
-            assert a.area == pytest.approx(b.area, rel=1e-12)
-            assert a.t_start == pytest.approx(b.t_start, rel=1e-12, abs=1e-18)
-            assert a.duration == pytest.approx(b.duration, rel=1e-12, abs=1e-18)
+class TestUnknownFields:
+    """A misspelt field is refused by name, never read as its default."""
 
-    def test_serialized_text_is_json_with_trailing_newline(self):
-        seq, spec, grid = parse_sequence_file(GOOD)
-        text = serialize_sequence_file(seq, spec, grid)
-        assert text.endswith("\n")
-        doc = json.loads(text)
-        assert set(doc) == {"pulses", "ensemble", "grid"}
-        assert doc["pulses"][0]["area_pi"] == pytest.approx(0.1)
+    PULSE = {"channel": "optical12", "area_pi": 1.0, "t_start": 0.0}
+
+    def _message(self, doc):
+        with pytest.raises(SequenceFileError) as exc_info:
+            parse_sequence_file(json.dumps(doc))
+        assert exc_info.value.code == "INVALID_VALUE"
+        return str(exc_info.value)
+
+    def test_top_level(self):
+        doc = {"pulses": [self.PULSE], "grd": {"t_end": 45.0}}
+        assert "sequence has unknown field 'grd'" in self._message(doc)
+
+    def test_pulse(self):
+        doc = {"pulses": [self.PULSE, {**self.PULSE, "t_start": 5.0, "durration": 0.2}]}
+        assert "pulses[1] has unknown field 'durration'" in self._message(doc)
+
+    def test_ensemble(self):
+        doc = {"pulses": [self.PULSE], "ensemble": {"n_atom": 2001}}
+        assert "ensemble has unknown field 'n_atom'" in self._message(doc)
+
+    def test_grid(self):
+        doc = {"pulses": [self.PULSE], "grid": {"t_end": 10.0, "dt": 0.01, "t_start": 0.0}}
+        assert "grid has unknown field 't_start'" in self._message(doc)
+
+    def test_echo_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({"pulses": [{**self.PULSE, "durration": 0.2}]}))
+        assert cli_main(["echo", "--seq", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: INVALID_VALUE: pulses[0] has unknown field")
 
 
 class TestSizeBudget:

@@ -13,7 +13,6 @@ from cdrecho import (
     DensityMatrix,
     Pulse,
     PulseSequence,
-    coherence,
     ground_state,
     max_element_distance,
     purity,
@@ -103,28 +102,18 @@ class TestCoherence:
 
         rho = after_data(0.1 * math.pi)
         want = -0.5j * math.sin(0.1 * math.pi)
-        assert coherence(rho, 1, 2) == pytest.approx(want, abs=1e-9)
+        assert rho.elements[0, 1] == pytest.approx(want, abs=1e-9)
 
     def test_half_pi_coherence(self):
         from cdrecho import after_data
 
         rho = after_data(0.5 * math.pi)
-        assert coherence(rho, 1, 2) == pytest.approx(-0.5j, abs=1e-12)
+        assert rho.elements[0, 1] == pytest.approx(-0.5j, abs=1e-12)
 
     def test_hermitian_pair(self):
         rng = np.random.default_rng(3)
         rho = random_valid_state(rng)
-        assert coherence(rho, 2, 1) == pytest.approx(
-            np.conj(coherence(rho, 1, 2)), abs=1e-15
-        )
-
-    def test_index_errors(self):
-        with pytest.raises(IndexError):
-            coherence(ground_state(), 0, 1)
-        with pytest.raises(IndexError):
-            coherence(ground_state(), 1, 4)
-        with pytest.raises(ValueError):
-            coherence(ground_state(), 2, 2)
+        assert rho.elements[1, 0] == pytest.approx(np.conj(rho.elements[0, 1]), abs=1e-15)
 
 
 class TestMaxElementDistance:
