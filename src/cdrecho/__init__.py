@@ -7,7 +7,7 @@ and deterministic sweep datasets.
 """
 
 from .area import PropagationConfig, propagate_area
-from .csvio import CsvWriteError, Table, format_float, render_csv, write_csv
+from .csvio import CsvWriteError, Table, render_csv, write_csv
 from .ensemble import (
     EchoEvent,
     EchoReport,
@@ -18,8 +18,8 @@ from .ensemble import (
     simulate_ensemble,
     time_grid,
 )
-from .integrator import DriveSample, integrate_sequence, rhs, rk4_step
-from .seqfile import GridConfig, SequenceFileError, parse_sequence_file
+from .integrator import DriveSample, integrate_sequence, rhs
+from .seqfile import SequenceFileError, parse_sequence_file
 from .stages import (
     StageAreas,
     after_c1,
@@ -58,7 +58,6 @@ __all__ = [
     "EnsembleSpec",
     "EnsembleTrace",
     "FigureId",
-    "GridConfig",
     "PropagationConfig",
     "Pulse",
     "PulseSequence",
@@ -75,7 +74,6 @@ __all__ = [
     "after_r2_dr",
     "detect_echoes",
     "figure_dataset",
-    "format_float",
     "ground_state",
     "integrate_sequence",
     "max_element_distance",
@@ -86,7 +84,6 @@ __all__ = [
     "purity",
     "render_csv",
     "rhs",
-    "rk4_step",
     "run_sequence_hard",
     "run_sweep",
     "simulate_ensemble",

@@ -21,7 +21,7 @@ import numpy as np
 
 from .area import PropagationConfig, propagate_area
 from .csvio import CsvWriteError, Table, render_csv, write_csv
-from .ensemble import detect_echoes, predict_echo_times, simulate_ensemble, time_grid
+from .ensemble import detect_echoes, simulate_ensemble
 from .seqfile import parse_sequence_file
 from .stages import COLUMNS, StageAreas, observables, stage_chain
 from .sweeps import FigureId, SweepSpec, figure_dataset, run_sweep
@@ -98,14 +98,12 @@ def _cmd_stages(args) -> int:
 
 def _cmd_echo(args) -> int:
     text = Path(args.seq).read_text(encoding="utf-8")
-    seq, spec, grid = parse_sequence_file(text)
-    times = time_grid(grid.t_end, grid.dt)
+    seq, spec, times = parse_sequence_file(text)
     trace = simulate_ensemble(seq, spec, times, engine=args.engine)
     report = detect_echoes(times, trace.polarization, seq)
 
-    predicted = predict_echo_times(seq)
-    if predicted:
-        stamps = ", ".join(f"{t / US:.6f}" for t in predicted)
+    if report.predicted:
+        stamps = ", ".join(f"{t / US:.6f}" for t in report.predicted)
         print(f"predicted echo times (us): {stamps}")
     else:
         print("predicted echo times (us): none")
@@ -118,6 +116,8 @@ def _cmd_echo(args) -> int:
             f"|P|={e.amplitude:.6e} ImP={e.im_sign * e.amplitude:+.6e}"
         )
     if args.out is not None:
+        # the CSV is ASCII, so a non-ASCII file name goes in escaped: donn\xe9es.json
+        source = Path(args.seq).name.encode("ascii", "backslashreplace").decode("ascii")
         # Table keeps its own copy, so the stacked rows die with this call
         table = Table(
             columns=("t_us", "re_p", "im_p", "abs_p", "rho11", "rho22", "rho33"),
@@ -132,7 +132,7 @@ def _cmd_echo(args) -> int:
                     trace.pop_spin,
                 ]
             ),
-            meta=(("source", Path(args.seq).name), ("engine", args.engine)),
+            meta=(("source", source), ("engine", args.engine)),
         )
         write_csv(table, args.out)
         print(f"wrote {args.out}")

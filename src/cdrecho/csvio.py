@@ -112,6 +112,8 @@ def render_csv(table: Table) -> str:
 
 
 def write_csv(table: Table, path) -> None:
-    text = render_csv(table)
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(text)
+    """Write render_csv(table) as ASCII; text it cannot encode raises
+    UnicodeEncodeError before the file is opened, so no file is left."""
+    data = render_csv(table).encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(data)

@@ -41,7 +41,6 @@ __all__ = [
     "EchoEvent",
     "EchoReport",
     "EnsembleTrace",
-    "TRACE_BUDGET_BYTES",
     "trace_bytes",
     "check_trace_budget",
     "time_grid",
@@ -75,6 +74,11 @@ class EnsembleSpec:
             raise ValueError("n_atoms must be odd and >= 3")
         if not math.isfinite(self.span) or self.span < 0:
             raise ValueError("span must be finite and >= 0")
+        # _grid divides by 2 sigma^2 and puts the comb's edge at span sigma
+        if not 0.0 < 2.0 * (self.sigma * self.sigma) < math.inf:
+            raise ValueError(f"sigma {self.sigma:g} rad/s makes 2 sigma^2 zero or infinite")
+        if not math.isfinite(self.span * self.sigma):
+            raise ValueError(f"span sigma = {self.span:g} x {self.sigma:g} rad/s is not finite")
 
 
 def _grid(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -135,7 +139,11 @@ class EchoEvent:
 
 @dataclass(frozen=True)
 class EchoReport:
+    """Detected echoes, and the ledger's predicted echo times (s) they were
+    labeled against."""
+
     events: tuple[EchoEvent, ...]
+    predicted: tuple[float, ...]
 
     def labeled(self, label: str) -> tuple[EchoEvent, ...]:
         return tuple(e for e in self.events if e.label == label)
@@ -490,7 +498,8 @@ def detect_echoes(
     steps plus the longest pulse duration of a ledger prediction are labeled
     E1/E2 by prediction order, anything else "other"; the ledger counts from
     pulse centres, so finite pulses shift echoes by up to about a duration.
-    im_sign is the sign of Im P at the peak.
+    im_sign is the sign of Im P at the peak. The report carries the
+    prediction, predict_echo_times(seq), whether or not any peak is found.
     """
     times = np.asarray(times, dtype=float)
     pol = np.asarray(polarization, dtype=complex)
@@ -498,8 +507,9 @@ def detect_echoes(
         raise ValueError("times and polarization must be matching 1-d arrays")
     if not 0.0 < threshold_fraction <= 1.0:
         raise ValueError("threshold_fraction must be in (0, 1]")
+    predicted = tuple(predict_echo_times(seq))
     if times.size < 3:
-        return EchoReport(())
+        return EchoReport((), predicted)
 
     dt = float(np.median(np.diff(times)))
     pad = dt * (1.0 + 1e-9)
@@ -510,13 +520,12 @@ def detect_echoes(
     mag = np.abs(pol)
     open_mag = mag[~excluded]
     if open_mag.size == 0:
-        return EchoReport(())
+        return EchoReport((), predicted)
     ref = float(open_mag.max())
     if ref == 0.0:
-        return EchoReport(())
+        return EchoReport((), predicted)
     thr = threshold_fraction * ref
 
-    predicted = predict_echo_times(seq)
     window = 3.0 * dt + max((p.duration for p in seq.pulses), default=0.0) + 1e-12
     mid = mag[1:-1]
     is_peak = ~excluded[1:-1] & (mid >= thr) & (mid > mag[:-2]) & (mid >= mag[2:])
@@ -537,4 +546,4 @@ def detect_echoes(
         )
         for i, label in zip(peaks, labels)
     ]
-    return EchoReport(tuple(events))
+    return EchoReport(tuple(events), predicted)

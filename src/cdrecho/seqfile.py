@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from .ensemble import (
     DEFAULT_N_ATOMS,
@@ -30,14 +31,13 @@ from .ensemble import (
     DEFAULT_SPAN,
     EnsembleSpec,
     check_trace_budget,
+    time_grid,
 )
 from .states import Channel, Pulse, PulseOverlapError, PulseSequence
 
 __all__ = [
-    "GridConfig",
     "SequenceFileError",
     "parse_sequence_file",
-    "default_dt",
 ]
 
 US = 1e-6
@@ -52,20 +52,6 @@ class SequenceFileError(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")
         self.code = code
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    """Trace window: end time and sample step, both seconds."""
-
-    t_end: float
-    dt: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.t_end) or self.t_end < 0:
-            raise ValueError("t_end must be finite and >= 0")
-        if not math.isfinite(self.dt) or self.dt <= 0:
-            raise ValueError("dt must be positive")
 
 
 def default_dt(spec: EnsembleSpec) -> float:
@@ -102,8 +88,13 @@ def _number(value, where: str) -> float:
     return number
 
 
-def parse_sequence_file(text: str) -> tuple[PulseSequence, EnsembleSpec, GridConfig]:
-    """Parse JSON text into a sequence, ensemble spec and sample grid."""
+def parse_sequence_file(text: str) -> tuple[PulseSequence, EnsembleSpec, np.ndarray]:
+    """Parse JSON text into a sequence, ensemble spec and sample times.
+
+    The times are time_grid(seq.t_end, dt) in seconds. A window whose echo run
+    would pass the trace budget is refused with PROBLEM_TOO_LARGE before they
+    exist.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -175,8 +166,9 @@ def parse_sequence_file(text: str) -> tuple[PulseSequence, EnsembleSpec, GridCon
         if "dt" in grid_doc
         else default_dt(spec)
     )
+    if dt <= 0:
+        raise SequenceFileError("INVALID_VALUE", "dt must be positive")
     try:
-        grid = GridConfig(t_end=t_end, dt=dt)
         seq = PulseSequence(pulses=tuple(pulses), t_end=t_end)
     except PulseOverlapError as exc:
         raise SequenceFileError("OVERLAPPING_PULSES", str(exc)) from exc
@@ -189,5 +181,5 @@ def parse_sequence_file(text: str) -> tuple[PulseSequence, EnsembleSpec, GridCon
         )
     except ValueError as exc:
         raise SequenceFileError("PROBLEM_TOO_LARGE", str(exc)) from exc
-    return seq, spec, grid
+    return seq, spec, time_grid(t_end, dt)
 

@@ -40,7 +40,6 @@ __all__ = [
     "observables",
     "COLUMNS",
     "STAGES",
-    "STAGE_LABELS",
     "CANONICAL",
     "HALF_PI",
 ]

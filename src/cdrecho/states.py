@@ -13,9 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "HERMITICITY_TOL",
-    "TRACE_TOL",
-    "EIGENVALUE_TOL",
     "Channel",
     "DensityMatrix",
     "Pulse",

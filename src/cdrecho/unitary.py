@@ -27,6 +27,9 @@ __all__ = [
     "run_sequence_hard",
 ]
 
+# The two levels (0-based) that each channel couples; the third is a spectator.
+_LEVELS = {Channel.OPTICAL12: (0, 1), Channel.CONTROL23: (1, 2)}
+
 
 def pulse_unitary(channel: Channel, area: float) -> np.ndarray:
     """Unitary for a hard pulse of the given area (radians) on a channel.
@@ -34,21 +37,12 @@ def pulse_unitary(channel: Channel, area: float) -> np.ndarray:
     The driven 2x2 block is [[cos(a/2), i sin(a/2)], [i sin(a/2), cos(a/2)]];
     this sign puts a fresh ground-state coherence at rho12 = -(i/2) sin(a).
     """
-    c = np.cos(area / 2.0)
-    s = 1j * np.sin(area / 2.0)
-    u = np.eye(3, dtype=complex)
-    if channel is Channel.OPTICAL12:
-        u[0, 0] = c
-        u[0, 1] = s
-        u[1, 0] = s
-        u[1, 1] = c
-    elif channel is Channel.CONTROL23:
-        u[1, 1] = c
-        u[1, 2] = s
-        u[2, 1] = s
-        u[2, 2] = c
-    else:
+    if channel not in _LEVELS:
         raise ValueError(f"unknown channel {channel!r}")
+    a, b = _LEVELS[channel]
+    u = np.eye(3, dtype=complex)
+    u[a, a] = u[b, b] = np.cos(area / 2.0)
+    u[a, b] = u[b, a] = 1j * np.sin(area / 2.0)
     return u
 
 
@@ -72,7 +66,7 @@ def _square_eigen(
     h = np.zeros((deltas.size, 3, 3))
     h[:, 1, 1] = deltas
     h[:, 2, 2] = delta_s
-    a, b = (0, 1) if p.channel is Channel.OPTICAL12 else (1, 2)
+    a, b = _LEVELS[p.channel]
     h[:, a, b] = h[:, b, a] = -0.5 * p.rabi_frequency
     return np.linalg.eigh(h)
 

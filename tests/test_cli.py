@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from cdrecho import (
     verify,
 )
 from cdrecho.cli import cli_main
-from cdrecho.ensemble import trace_bytes
+from cdrecho.ensemble import predict_echo_times, trace_bytes
 
 ROOT = Path(__file__).resolve().parents[1]
 FIGURE_NAMES = {
@@ -199,6 +200,43 @@ class TestEcho:
         assert lines[0] == "# source=cdr.json engine=hard"
         assert lines[1] == "t_us,re_p,im_p,abs_p,rho11,rho22,rho33"
         assert len(lines) == 2 + 9001
+
+    def test_non_ascii_sequence_name_is_escaped_in_the_trace(self, tmp_path, capsys):
+        seq = tmp_path / "donn\u00e9es.json"
+        seq.write_bytes((ROOT / "sequences" / "dr.json").read_bytes())
+        out = tmp_path / "t.csv"
+        assert cli_main(["echo", "--seq", str(seq), "--out", str(out)]) == 0
+        assert "E2 absorptive t=40.000000us" in capsys.readouterr().out
+        assert out.read_bytes().split(b"\n")[0] == b"# source=donn\\xe9es.json engine=hard"
+
+    def test_one_run_predicts_the_echo_times_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(seq):
+            calls.append(seq)
+            return predict_echo_times(seq)
+
+        for name, module in list(sys.modules.items()):
+            if name == "cdrecho" or name.startswith("cdrecho."):
+                for attr, value in list(vars(module).items()):
+                    if value is predict_echo_times:
+                        monkeypatch.setattr(module, attr, counted)
+        assert cli_main(["echo", "--seq", str(ROOT / "sequences" / "cdr.json")]) == 0
+        assert "predicted echo times (us): 24.000000, 36.000000" in capsys.readouterr().out
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "ensemble", [{"sigma_hz": 1e-300}, {"sigma_hz": 1e10, "span": 1e300}, {"sigma_hz": 1e300}]
+    )
+    def test_comb_that_is_not_finite_is_a_usage_error(self, tmp_path, capsys, ensemble):
+        doc = json.loads((ROOT / "sequences" / "dr.json").read_text())
+        doc["ensemble"].update(ensemble)
+        seq = tmp_path / "seq.json"
+        seq.write_text(json.dumps(doc))
+        assert cli_main(["echo", "--seq", str(seq)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: INVALID_VALUE: ensemble: ")
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         rc = cli_main(["echo", "--seq", str(tmp_path / "missing.json")])

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdrecho import CsvWriteError, Table, cli, format_float, render_csv, write_csv
+from cdrecho import CsvWriteError, Table, cli, render_csv, write_csv
+from cdrecho.csvio import format_float
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -250,6 +251,13 @@ class TestWriteCsv:
         assert data == p2.read_bytes()
         assert data == render_csv(t).encode("ascii")
         assert b"\r" not in data
+
+    def test_text_that_is_not_ascii_raises_before_the_file_exists(self, tmp_path):
+        t = Table(columns=("a",), rows=np.zeros((1, 1)), meta=(("source", "donn\u00e9es.json"),))
+        path = tmp_path / "t.csv"
+        with pytest.raises(UnicodeEncodeError):
+            write_csv(t, path)
+        assert not path.exists()
 
     def test_values_survive_reparse_to_twelve_digits(self, tmp_path):
         rng = np.random.default_rng(77)

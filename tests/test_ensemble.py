@@ -130,6 +130,25 @@ class TestEnsembleSpec:
         with pytest.raises(ValueError):
             EnsembleSpec(span=-1.0)
 
+    @pytest.mark.parametrize(
+        "sigma_hz, span",
+        [
+            (1e-300, 5.0),  # 2 sigma^2 underflows to 0: the weights would be 0/0
+            (1e10, 1e300),  # span sigma overflows: the comb's edge would be inf
+            (1e300, 5.0),  # 2 sigma^2 overflows: _grid's sigma**2 would raise
+        ],
+    )
+    def test_comb_that_is_not_finite_is_refused(self, sigma_hz, span):
+        with pytest.raises(ValueError):
+            EnsembleSpec(sigma=2 * PI * sigma_hz, span=span)
+
+    @pytest.mark.parametrize("inside, outside", [(1.6e-162, 1.5e-162), (9.4e153, 9.5e153)])
+    def test_sigma_at_the_edges_of_the_float_range(self, inside, outside):
+        _, weights = _grid(EnsembleSpec(sigma=inside, span=1.0))
+        assert np.all(np.isfinite(weights)) and weights.sum() == pytest.approx(1.0)
+        with pytest.raises(ValueError):
+            EnsembleSpec(sigma=outside, span=1.0)
+
     def test_build_ensemble_weights(self):
         spec = EnsembleSpec(sigma=2 * PI * 1e6, n_atoms=21, span=3.0)
         deltas, weights = _grid(spec)
@@ -846,6 +865,22 @@ class TestDetectEchoes:
         times = time_grid(10 * US, 0.01 * US)
         report = detect_echoes(times, np.zeros_like(times, dtype=complex), seq)
         assert report.events == ()
+
+    def test_every_report_carries_the_prediction(self):
+        seq = two_pulse_seq(tau=4 * US, t_end=10 * US)
+        want = tuple(predict_echo_times(seq))
+        assert want == pytest.approx((8 * US,))
+        times = time_grid(10 * US, 0.01 * US)
+        inside = np.array([3.99, 4.0, 4.01]) * US  # all within a step of the r pulse
+        bump = 1j * np.exp(-((times - 8 * US) ** 2) / (2 * (0.05 * US) ** 2))
+        cases = [
+            (times[:2], bump[:2]),  # too few samples
+            (inside, np.ones(3, dtype=complex)),  # every sample inside a pulse window
+            (times, np.zeros_like(bump)),  # no signal
+            (times, bump),  # one echo
+        ]
+        for t, pol in cases:
+            assert detect_echoes(t, pol, seq).predicted == want
 
 
 def rk4_ensemble(seq, spec, dt, stride):

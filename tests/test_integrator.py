@@ -18,10 +18,9 @@ from cdrecho import (
     integrate_sequence,
     max_element_distance,
     rhs,
-    rk4_step,
     run_sequence_hard,
 )
-from cdrecho.integrator import _segments
+from cdrecho.integrator import _segments, rk4_step
 
 PI = math.pi
 

@@ -3,14 +3,15 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cdrecho import (
     Channel,
     EnsembleSpec,
-    GridConfig,
     SequenceFileError,
     parse_sequence_file,
+    time_grid,
 )
 from cdrecho.cli import cli_main
 from cdrecho.ensemble import TRACE_BUDGET_BYTES, trace_bytes
@@ -34,7 +35,7 @@ GOOD = """
 
 class TestParseGoodFile:
     def test_units_and_fields(self):
-        seq, spec, grid = parse_sequence_file(GOOD)
+        seq, spec, times = parse_sequence_file(GOOD)
         assert len(seq.pulses) == 3
         d, r1, c1 = seq.pulses
         assert d.channel is Channel.OPTICAL12
@@ -47,9 +48,9 @@ class TestParseGoodFile:
         assert spec.sigma == pytest.approx(2 * PI * 2.0e6)
         assert spec.n_atoms == 101
         assert spec.span == 4.0
-        assert grid.t_end == pytest.approx(30 * US)
-        assert grid.dt == pytest.approx(0.01 * US)
-        assert seq.t_end == grid.t_end
+        assert seq.t_end == pytest.approx(30 * US)
+        assert np.array_equal(times, time_grid(seq.t_end, 0.01 * US))
+        assert times.size == 3001
 
     def test_pulses_sorted_by_start_time(self):
         text = json.dumps(
@@ -64,10 +65,11 @@ class TestParseGoodFile:
         assert [p.t_start for p in seq.pulses] == [0.0, 10 * US]
 
     def test_empty_pulse_list_allowed(self):
-        seq, spec, grid = parse_sequence_file('{"pulses": []}')
+        seq, spec, times = parse_sequence_file('{"pulses": []}')
         assert seq.pulses == ()
         assert spec == EnsembleSpec()
-        assert grid.t_end == 0.0
+        assert seq.t_end == 0.0
+        assert np.array_equal(times, time_grid(0.0, default_dt(spec)))
 
 
 class TestDefaults:
@@ -75,10 +77,10 @@ class TestDefaults:
         text = json.dumps(
             {"pulses": [{"channel": "optical12", "area_pi": 1.0, "t_start": 5.0}]}
         )
-        seq, spec, grid = parse_sequence_file(text)
+        seq, spec, times = parse_sequence_file(text)
         assert spec == EnsembleSpec()
-        assert grid.t_end == pytest.approx(10 * US)  # twice the last pulse end
-        assert grid.dt == pytest.approx(default_dt(spec))
+        assert seq.t_end == pytest.approx(10 * US)  # twice the last pulse end
+        assert np.array_equal(times, time_grid(seq.t_end, default_dt(spec)))
 
     def test_default_dt_resolves_fastest_beat(self):
         spec = EnsembleSpec(sigma=2 * PI * 1e6, n_atoms=201, span=5.0)
@@ -145,6 +147,7 @@ class TestErrorCodes:
             {"pulses": [], "ensemble": {"sigma_hz": -1.0}},
             {"pulses": [], "ensemble": {"n_atoms": 11.5}},
             {"pulses": [], "grid": {"t_end": 10.0, "dt": 0.0}},
+            {"pulses": [], "grid": {"t_end": 1e300, "dt": -0.01}},
             {"pulses": [], "ensemble": "nope"},
             {"pulses": [], "grid": "nope"},
         ]
@@ -292,9 +295,10 @@ class TestShippedFiles:
         from pathlib import Path
 
         root = Path(__file__).resolve().parents[1]
-        seq, spec, grid = parse_sequence_file((root / "sequences" / name).read_text())
+        seq, spec, times = parse_sequence_file((root / "sequences" / name).read_text())
         assert spec == EnsembleSpec()
-        assert grid.t_end == pytest.approx(45 * US)
+        assert seq.t_end == pytest.approx(45 * US)
+        assert np.array_equal(times, time_grid(seq.t_end, 0.005 * US))
         assert all(p.is_hard for p in seq.pulses)
 
     def test_shipped_protocols_differ_by_control_pair(self):

@@ -73,6 +73,11 @@ class TestPulseUnitary:
         for ch in Channel:
             np.testing.assert_allclose(pulse_unitary(ch, 0.0), np.eye(3), atol=1e-15)
 
+    def test_unknown_channel_rejected(self):
+        for bad in ("optical12", 0, None):
+            with pytest.raises(ValueError, match="unknown channel"):
+                pulse_unitary(bad, PI)
+
     def test_pi_pulse_swaps_populations(self):
         u = pulse_unitary(Channel.OPTICAL12, PI)
         rho = conjugate(ground_state(), u)
