@@ -17,8 +17,8 @@ independent oracle.
 On a free stretch both the sample times and the comb's detunings are uniform
 ladders, so the comb sum is a chirp-z transform: segmented FFT convolutions
 with a chirp, O(n_t log n_atoms) where the sizes favour it. Square pulses sum
-over beat frequencies, which are no ladder, with a ladder table of the times
-and one matrix product; see `_phase_sum`.
+over each atom's three beat frequencies, which are no ladder, with a ladder
+table of the times and one matrix product; see `_phase_sum` and `_trace`.
 
 Sign convention: Im P < 0 is an absorptive signal, Im P > 0 emissive.
 """
@@ -74,11 +74,14 @@ class EnsembleSpec:
             raise ValueError("n_atoms must be odd and >= 3")
         if not math.isfinite(self.span) or self.span < 0:
             raise ValueError("span must be finite and >= 0")
-        # _grid divides by 2 sigma^2 and puts the comb's edge at span sigma
+        # _grid divides by 2 sigma^2 and squares the comb's edge, span sigma
         if not 0.0 < 2.0 * (self.sigma * self.sigma) < math.inf:
             raise ValueError(f"sigma {self.sigma:g} rad/s makes 2 sigma^2 zero or infinite")
-        if not math.isfinite(self.span * self.sigma):
-            raise ValueError(f"span sigma = {self.span:g} x {self.sigma:g} rad/s is not finite")
+        edge = self.span * self.sigma
+        if not math.isfinite(edge * edge):
+            raise ValueError(
+                f"span sigma = {self.span:g} x {self.sigma:g} rad/s squared is not finite"
+            )
 
 
 def _grid(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -329,9 +332,9 @@ def trace_bytes(n_atoms: float, n_t: float, pulse_samples: float) -> float:
     entries, with B and n/B at most sqrt(n) + 1. The chirp-z holds at most
     (7 n + 24 F) q: two spectra of up to (2 n + L) q entries each, the output,
     and the chirp and its kernel, with the FFT length L <= 4 F. F = n_atoms
-    and q = 1 over a free stretch of up to n_t samples; F = 9 n_atoms and
-    q = 9, plus the coefficients, inside a square pulse. All in floats, so a
-    grid of 1e300 samples is simply too large.
+    and q = 1 over a free stretch of up to n_t samples; F = 3 n_atoms beats
+    and q = 8 columns, plus the coefficients, inside a square pulse. All in
+    floats, so a grid of 1e300 samples is simply too large.
     """
 
     def phase_sum(n: float, f: float, q: int) -> float:
@@ -339,7 +342,7 @@ def trace_bytes(n_atoms: float, n_t: float, pulse_samples: float) -> float:
         table = f * s * (1 + q) + f * q + 2.0 * n * q
         return 16.0 * max(table, (7.0 * n + 24.0 * f) * q)
 
-    pulse = phase_sum(pulse_samples, 9.0 * n_atoms, 9) if pulse_samples > 0 else 0.0
+    pulse = phase_sum(pulse_samples, 3.0 * n_atoms, 8) if pulse_samples > 0 else 0.0
     return 640.0 * n_t + 1024.0 * n_atoms + max(phase_sum(n_t, n_atoms, 1), pulse)
 
 
@@ -353,6 +356,12 @@ def check_trace_budget(n_atoms: float, n_t: float, pulse_samples: float) -> None
         )
 
 
+# The outputs an echo run reads, mean[x, y]: P = mean[0, 1] and the three
+# populations; and each atom's three beats k < l inside a square pulse
+_OUT_X, _OUT_Y = np.array([0, 0, 1, 2]), np.array([1, 0, 1, 2])
+_BEAT_K, _BEAT_L = np.array([0, 0, 1]), np.array([1, 2, 2])
+
+
 def _trace(
     seq: PulseSequence,
     deltas: np.ndarray,
@@ -362,8 +371,13 @@ def _trace(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted comb sums of P(t) and the mean populations along the exact walk.
 
-    On a free stretch rho12 advances at +delta; inside a square pulse the
-    mean rho_ab(tau) = sum_n w_n sum_kl v_ak v_bl r_kl exp(-i beat_kl tau).
+    On a free stretch rho12 advances at +delta; a stretch where it is zero for
+    every atom gives P = +0.0 without a sum. Inside a square pulse the mean
+    rho_xy(tau) = sum_n w_n sum_kl v_xk v_yl r_kl exp(-i beat_kl tau). Its
+    diagonal beats are zero, so their terms are one constant per output; and
+    beat_lk = -beat_kl, so the (l, k) term is the conjugate of a sum at the
+    (k, l) beat. The comb sum runs over the 3 n_atoms beats k < l with 8
+    columns, [c_kl | conj(c_lk)] for the four outputs (x, y) an echo run reads.
     """
     ground = np.zeros((deltas.size, 3, 3), dtype=complex)
     ground[:, 0, 0] = 1.0
@@ -377,15 +391,22 @@ def _trace(
             continue
         tau = times[idx:j] - start
         if pulse is None:
-            coef = (weights * rho[:, 0, 1])[:, None]
-            pol[idx:j] = _phase_sum(tau, deltas, coef)[:, 0]
+            coef = weights * rho[:, 0, 1]
+            pol[idx:j] = _phase_sum(tau, deltas, coef[:, None])[:, 0] if coef.any() else 0.0
             pops[idx:j] = weights @ rho[:, diag[0], diag[1]].real
         else:
             v, beat = pulse
-            coef = np.einsum("n,nak,nbl,nkl->nklab", weights, v, v, rho).reshape(-1, 9)
-            mean = _phase_sum(tau, -beat.ravel(), coef).reshape(-1, 3, 3)
-            pol[idx:j] = mean[:, 0, 1]
-            pops[idx:j] = mean[:, diag[0], diag[1]].real
+            vx, vy = v[:, _OUT_X], v[:, _OUT_Y]  # (n, output, level)
+            wr = weights[:, None, None] * rho
+            k, l = _BEAT_K, _BEAT_L
+            coef = np.empty((deltas.size, 3, 8), dtype=complex)  # (n, beat, column)
+            coef[:, :, :4] = (vx[:, :, k] * vy[:, :, l] * wr[:, None, k, l]).swapaxes(1, 2)
+            coef[:, :, 4:] = np.conj(vx[:, :, l] * vy[:, :, k] * wr[:, None, l, k]).swapaxes(1, 2)
+            const = np.einsum("nok,nok,nk->o", vx, vy, wr[:, diag[0], diag[1]])
+            s = _phase_sum(tau, -beat[:, k, l].ravel(), coef.reshape(-1, 8))
+            mean = s[:, :4] + s[:, 4:].conj() + const
+            pol[idx:j] = mean[:, 0]
+            pops[idx:j] = mean[:, 1:].real
         idx = j
     return pol, pops
 

@@ -161,13 +161,18 @@ def parse_sequence_file(text: str) -> tuple[PulseSequence, EnsembleSpec, np.ndar
         if "t_end" in grid_doc
         else 2.0 * last_end
     )
-    dt = (
-        _number(grid_doc["dt"], "grid.dt") * US
-        if "dt" in grid_doc
-        else default_dt(spec)
-    )
-    if dt <= 0:
-        raise SequenceFileError("INVALID_VALUE", "dt must be positive")
+    if "dt" in grid_doc:
+        dt = _number(grid_doc["dt"], "grid.dt") * US
+        if dt <= 0:
+            raise SequenceFileError("INVALID_VALUE", "dt must be positive")
+    else:
+        dt = default_dt(spec)
+        if not 0.0 < dt < math.inf:
+            raise SequenceFileError(
+                "INVALID_VALUE",
+                f"ensemble sigma_hz {sigma_hz:g} and span {span:g} give no default dt "
+                f"({dt:g} s); set grid.dt",
+            )
     try:
         seq = PulseSequence(pulses=tuple(pulses), t_end=t_end)
     except PulseOverlapError as exc:

@@ -6,8 +6,9 @@ zero-duration limit of a square resonant pulse: a rotation by phi in the
 driven two-level subspace, identity on the spectator level. Free evolution
 only rotates coherence phases; the optical level carries delta, the spin
 level carries delta_s, so a coherence parked on |1>-|3> stands still when
-delta_s = 0. A square pulse is U(tau) = V exp(-i w tau) V^T from one
-eigendecomposition of its constant Hamiltonian.
+delta_s = 0. A square pulse is U(tau) = V exp(-i w tau) V^T, where its
+constant Hamiltonian is a two-level problem plus the spectator: the driven
+pair's eigenpairs are closed-form, and V is a rotation of that pair alone.
 
 `stretches` walks a sequence once for a whole batch of atoms: the ensemble
 trace runs it over a detuning comb, and `run_sequence_hard` over one atom.
@@ -61,14 +62,41 @@ def _free_rotation(
 def _square_eigen(
     p: Pulse, deltas: np.ndarray, delta_s: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the constant, real-symmetric Hamiltonian of a square pulse,
-    H = diag(0, delta, delta_s) - (Omega/2) coupling, batched over the atoms."""
-    h = np.zeros((deltas.size, 3, 3))
-    h[:, 1, 1] = deltas
-    h[:, 2, 2] = delta_s
+    """Eigenpairs (w, v) of the constant, real-symmetric Hamiltonian of a square
+    pulse, H = diag(0, delta, delta_s) - (Omega/2) coupling, batched over the atoms.
+
+    The channel couples levels (a, b) with energies A and B; the spectator keeps
+    its energy and unit vector. The pair's eigenvalues are (A + B)/2 +- W/2 with
+    W = hypot(A - B, Omega), and its eigenvectors are the columns of a rotation
+    by theta = atan2(-Omega, A - B) / 2: v[a, a] = v[b, b] = cos(theta) and
+    v[b, a] = -v[a, b] = sin(theta). This form holds for any Omega / (A - B),
+    including A = B.
+    """
+    w = np.column_stack([np.zeros(deltas.size), deltas, delta_s])
     a, b = _LEVELS[p.channel]
-    h[:, a, b] = h[:, b, a] = -0.5 * p.rabi_frequency
-    return np.linalg.eigh(h)
+    diff = w[:, a] - w[:, b]
+    mid = 0.5 * (w[:, a] + w[:, b])
+    half = 0.5 * np.hypot(diff, p.rabi_frequency)
+    theta = 0.5 * np.arctan2(-p.rabi_frequency, diff)
+    w[:, a], w[:, b] = mid + half, mid - half
+    v = np.zeros((deltas.size, 3, 3))
+    v[:, 3 - a - b, 3 - a - b] = 1.0
+    v[:, a, a] = v[:, b, b] = np.cos(theta)
+    v[:, b, a] = np.sin(theta)
+    v[:, a, b] = -v[:, b, a]
+    return w, v
+
+
+def _rotate(m: np.ndarray, a: int, b: int, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """R m R^T for a batch of (n, 3, 3) matrices, element-wise, where R is the
+    identity but for rows a and b: (R m)_a = cos m_a + sin m_b and
+    (R m)_b = cos m_b - sin m_a, with per-atom (n,) cos and sin."""
+    c, s = cos[:, None], sin[:, None]
+    out = m.copy()
+    out[:, a], out[:, b] = c * m[:, a] + s * m[:, b], c * m[:, b] - s * m[:, a]
+    ma, mb = out[:, :, a], out[:, :, b]
+    out[:, :, a], out[:, :, b] = c * ma + s * mb, c * mb - s * ma
+    return out
 
 
 def stretches(
@@ -80,9 +108,11 @@ def stretches(
     free stretch ends at inf. On a free stretch pulse is None and rho is the
     (n, 3, 3) state at start. Inside a square pulse pulse is (v, beat) and rho
     is the state in the pulse's eigenbasis, so the state tau after start is
-    v (rho * exp(-i beat tau)) v^T. A hard pulse acts between two free
-    stretches, so the stretch that starts at its instant holds the post-pulse
-    state.
+    v (rho * exp(-i beat tau)) v^T. v rotates only the driven pair of levels
+    (`_square_eigen`), so entering and leaving the pulse rotate two rows and
+    two columns of every atom's state, element-wise. A hard pulse acts between
+    two free stretches, so the stretch that starts at its instant holds the
+    post-pulse state.
     """
     lam = np.column_stack([np.zeros(deltas.size), deltas, delta_s])
     now = 0.0
@@ -99,11 +129,12 @@ def stretches(
             rho = (left.reshape(-1, 3) @ u.conj().T).reshape(3, -1, 3).swapaxes(0, 1)
         else:
             w, v = _square_eigen(p, deltas, delta_s)
-            vt = np.swapaxes(v, 1, 2)
-            r = vt @ rho @ v
+            a, b = _LEVELS[p.channel]
+            cos, sin = v[:, a, a], v[:, b, a]
+            r = _rotate(rho, a, b, cos, sin)
             beat = w[:, :, None] - w[:, None, :]
             yield p.t_start, p.t_end, r, (v, beat)
-            rho = v @ (r * np.exp(-1j * beat * p.duration)) @ vt
+            rho = _rotate(r * np.exp(-1j * beat * p.duration), a, b, cos, -sin)
         now = p.t_end
     yield now, np.inf, rho, None
 

@@ -226,7 +226,13 @@ class TestEcho:
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
-        "ensemble", [{"sigma_hz": 1e-300}, {"sigma_hz": 1e10, "span": 1e300}, {"sigma_hz": 1e300}]
+        "ensemble",
+        [
+            {"sigma_hz": 1e-300},
+            {"sigma_hz": 1e10, "span": 1e300},
+            {"sigma_hz": 1e300},
+            {"sigma_hz": 1.4e153},  # (span sigma)^2 overflows at the comb's edge
+        ],
     )
     def test_comb_that_is_not_finite_is_a_usage_error(self, tmp_path, capsys, ensemble):
         doc = json.loads((ROOT / "sequences" / "dr.json").read_text())
@@ -237,6 +243,19 @@ class TestEcho:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: INVALID_VALUE: ensemble: ")
+
+    def test_default_dt_that_is_not_finite_asks_for_grid_dt(self, tmp_path, capsys):
+        # the comb's edge of 1e-310 Hz is subnormal, so 1 / (40 edge) is inf
+        doc = json.loads((ROOT / "sequences" / "dr.json").read_text())
+        doc["ensemble"].update({"sigma_hz": 1e-160, "span": 1e-150})
+        del doc["grid"]["dt"]
+        seq = tmp_path / "seq.json"
+        seq.write_text(json.dumps(doc))
+        assert cli_main(["echo", "--seq", str(seq)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: INVALID_VALUE: ensemble sigma_hz 1e-160 and span")
+        assert captured.err.rstrip().endswith("set grid.dt")
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         rc = cli_main(["echo", "--seq", str(tmp_path / "missing.json")])
@@ -275,6 +294,7 @@ class TestEcho:
             (20001, 9.0, 0.01, 0.0),
             (61, 9.0, 0.005, 0.2),
             (1001, 4.0, 0.01, 0.5),
+            (2001, 4.0, 0.0005, 0.5),  # 1001 samples inside each square pulse
         ],
     )
     def test_echo_peak_stays_under_its_estimate(
@@ -300,6 +320,25 @@ class TestEcho:
         capsys.readouterr()
         pulse_samples = duration / dt + 1.0 if duration else 0.0
         assert peak <= trace_bytes(n_atoms, t_end / dt + 2.0, pulse_samples)
+
+    def test_no_signed_zero_before_the_first_optical_pulse(self, tmp_path, capsys):
+        # 2001 atoms: the free stretches take the chirp-z, whose FFT rounds a
+        # zero input to zeros of either sign
+        pulses = [
+            {"channel": "control23", "area_pi": 1.0, "t_start": 0.5},
+            {"channel": "optical12", "area_pi": 0.3, "t_start": 2.0},
+            {"channel": "optical12", "area_pi": 1.0, "t_start": 20.0},
+        ]
+        doc = {"pulses": pulses, "ensemble": {"n_atoms": 2001}, "grid": {"t_end": 60.0, "dt": 0.01}}
+        seq = tmp_path / "seq.json"
+        seq.write_text(json.dumps(doc))
+        out = tmp_path / "t.csv"
+        assert cli_main(["echo", "--seq", str(seq), "--out", str(out)]) == 0
+        capsys.readouterr()
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        before = [row for row in rows if float(row[0]) < 2.0]
+        assert len(before) == 200
+        assert all(row[1:4] == ["0", "0", "0"] for row in before)
 
     def test_no_echo_sequence_reports_none(self, tmp_path, capsys):
         seq = tmp_path / "fid.json"

@@ -136,6 +136,7 @@ class TestEnsembleSpec:
             (1e-300, 5.0),  # 2 sigma^2 underflows to 0: the weights would be 0/0
             (1e10, 1e300),  # span sigma overflows: the comb's edge would be inf
             (1e300, 5.0),  # 2 sigma^2 overflows: _grid's sigma**2 would raise
+            (1.4e153, 5.0),  # (span sigma)^2 overflows: _grid's deltas**2 would be inf
         ],
     )
     def test_comb_that_is_not_finite_is_refused(self, sigma_hz, span):
@@ -432,7 +433,7 @@ class TestPhaseSum:
         times = time_grid(180 * US, 0.01 * US)
         with mock.patch.object(ensemble, "_chirp_sum", wraps=_chirp_sum) as spy:
             simulate_ensemble(seq, EnsembleSpec(n_atoms=2001), times)
-        assert spy.call_count == 6  # every free stretch
+        assert spy.call_count == 5  # every free stretch after the first optical pulse
         finite = PulseSequence(
             pulses=(
                 Pulse(Channel.OPTICAL12, 0.3 * PI, 0.0, duration=0.2 * US),
@@ -896,6 +897,37 @@ def rk4_ensemble(seq, spec, dt, stride):
     return times, pol
 
 
+def eigh_ensemble(seq, spec, times):
+    """P(t) and mean populations as the weighted sum of per-atom propagators,
+    each square pulse's from np.linalg.eigh of its 3x3 Hamiltonian, one atom
+    at a time: the oracle for the comb's closed-form rotations."""
+    levels = {Channel.OPTICAL12: (0, 1), Channel.CONTROL23: (1, 2)}
+    deltas, weights = _grid(spec)
+    pol = np.zeros(times.size, dtype=complex)
+    pops = np.zeros((times.size, 3))
+    for delta, weight in zip(deltas, weights):
+        free = np.diag([0.0, delta, 0.0])
+        pieces, now = [], 0.0
+        for p in seq.pulses:
+            h = free.copy()
+            a, b = levels[p.channel]
+            h[a, b] = h[b, a] = -0.5 * p.rabi_frequency
+            pieces += [(now, p.t_start, free), (p.t_start, p.t_end, h)]
+            now = p.t_end
+        pieces.append((now, np.inf, free))
+        rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        for start, end, h in pieces:
+            w, v = np.linalg.eigh(h)
+            inside = (times >= start) & (times < end)
+            tau = np.append(times[inside] - start, end - start if end < np.inf else 0.0)
+            u = (v * np.exp(-1j * np.multiply.outer(tau, w))[:, None, :]) @ v.T
+            states = u @ rho @ u.conj().swapaxes(1, 2)
+            pol[inside] += weight * states[:-1, 0, 1]
+            pops[inside] += weight * np.diagonal(states[:-1], axis1=1, axis2=2).real
+            rho = states[-1]
+    return pol, pops
+
+
 class TestOdeEngine:
     def test_resonant_comb_matches_hard_engine_exactly(self):
         # with zero detuning a square pulse is an exact rotation, so the two
@@ -972,6 +1004,33 @@ class TestOdeEngine:
         total = trace.pop_ground + trace.pop_excited + trace.pop_spin
         assert np.max(np.abs(total - 1.0)) <= 1e-12
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        pulses=st.lists(
+            st.tuples(
+                st.sampled_from(list(Channel)),
+                st.floats(min_value=0.0, max_value=2.0, exclude_min=True, exclude_max=True),
+                st.floats(min_value=0.05, max_value=0.3),  # duration, us
+                st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5)),  # gap, us
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_random_square_pulses_match_per_atom_eigh_propagators(self, pulses):
+        spec = EnsembleSpec(sigma=2 * PI * 1e6, n_atoms=41, span=3.0)
+        built = []
+        for channel, area, width, gap in pulses:
+            start = (built[-1].t_end if built else 0.0) + gap * US
+            built.append(Pulse(channel, area * PI, start, duration=width * US))
+        seq = PulseSequence(pulses=tuple(built), t_end=built[-1].t_end + 1 * US)
+        times = time_grid(seq.t_end, 0.01 * US)
+        trace = simulate_ensemble(seq, spec, times, engine="ode")
+        pol, pops = eigh_ensemble(seq, spec, times)
+        assert np.max(np.abs(trace.polarization - pol)) <= 1e-12
+        got = np.column_stack([trace.pop_ground, trace.pop_excited, trace.pop_spin])
+        assert np.max(np.abs(got - pops)) <= 1e-12
+
     def test_engine_argument_validation(self):
         spec = EnsembleSpec(n_atoms=5)
         times = time_grid(1 * US, 0.1 * US)
@@ -1003,12 +1062,12 @@ class TestSizeBudget:
     of the comb exists."""
 
     @pytest.mark.parametrize(
-        "n_atoms, duration, engine", [(2**20 + 1, 0.0, "hard"), (20001, 44.0 * US, "ode")]
+        "n_atoms, duration, engine", [(2**20 + 1, 0.0, "hard"), (60001, 44.0 * US, "ode")]
     )
     def test_trace_past_the_budget_is_refused_before_allocating(
         self, n_atoms, duration, engine
     ):
-        # 9001 samples: over 2 GiB for a million-atom comb, or for 20001 atoms
+        # 9001 samples: over 2 GiB for a million-atom comb, or for 60001 atoms
         # inside a square pulse that spans the window
         seq = PulseSequence(
             pulses=(Pulse(Channel.OPTICAL12, 0.5 * PI, 0.5 * US, duration=duration),),

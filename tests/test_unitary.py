@@ -22,6 +22,7 @@ from cdrecho import (
     stage_chain,
 )
 from cdrecho.stages import after_data
+from cdrecho.unitary import _square_eigen
 
 PI = math.pi
 
@@ -251,3 +252,22 @@ class TestRunSequenceHard:
         )
         with pytest.raises(ValueError):
             run_sequence_hard(ground_state(), seq, AtomParams())
+
+
+class TestSquareEigen:
+    @pytest.mark.parametrize("channel", list(Channel))
+    @pytest.mark.parametrize("ratio", [1e-8, 1.0, 1e8])  # Omega / |delta|
+    def test_closed_form_eigenpairs(self, channel, ratio):
+        pulse = Pulse(channel, PI, 0.0, duration=0.5e-6)  # Omega = 2 pi MHz
+        d = pulse.rabi_frequency / ratio
+        # both signs of delta, delta = 0 exactly, and a detuned spin level
+        deltas = np.array([d, -d, 0.0, 0.5 * d])
+        delta_s = np.array([0.0, 0.0, 0.0, -0.25 * d])
+        w, v = _square_eigen(pulse, deltas, delta_s)
+        a, b = {Channel.OPTICAL12: (0, 1), Channel.CONTROL23: (1, 2)}[channel]
+        for k in range(deltas.size):
+            h = np.diag([0.0, deltas[k], delta_s[k]])
+            h[a, b] = h[b, a] = -0.5 * pulse.rabi_frequency
+            scale = np.linalg.norm(h, 2)
+            assert np.linalg.norm(h @ v[k] - v[k] * w[k], 2) <= 1e-12 * scale
+            assert np.linalg.norm(v[k].T @ v[k] - np.eye(3), 2) <= 1e-12
