@@ -14,11 +14,13 @@ pulses alike; this module keeps only the weighted comb sums. The `engine`
 name only states which pulses a sequence may hold; the RK4 integrator is the
 independent oracle.
 
-On a free stretch both the sample times and the comb's detunings are uniform
-ladders, so the comb sum is a chirp-z transform: segmented FFT convolutions
-with a chirp, O(n_t log n_atoms) where the sizes favour it. Square pulses sum
-over each atom's three beat frequencies, which are no ladder, with a ladder
-table of the times and one matrix product; see `_phase_sum` and `_trace`.
+The sample times are a uniform grid, as time_grid makes them, so every
+stretch's samples are a ladder, and so are the comb's detunings; `_trace`
+states both ladders to `_phase_sum`. On a free stretch the comb sum is then a
+chirp-z transform: segmented FFT convolutions with a chirp, O(n_t log
+n_atoms) where the sizes favour it. Square pulses sum over each atom's three
+beat frequencies, which are no ladder, with a ladder table of the times and
+one matrix product, as do stretches too short for the chirp-z to pay.
 
 Sign convention: Im P < 0 is an absorptive signal, Im P > 0 emissive.
 """
@@ -152,9 +154,6 @@ class EchoReport:
         return tuple(e for e in self.events if e.label == label)
 
 
-_TABLE_GAP_RAD = 1e-10  # largest phase error the ladder tables may add
-
-
 def _rows(first: np.ndarray, factor, k: int) -> np.ndarray:
     """Rows first * factor(1)^r for r < k, shape (k, len(first)), by doubling.
 
@@ -174,13 +173,6 @@ def _rows(first: np.ndarray, factor, k: int) -> np.ndarray:
 def _table(t0: float, h: float, k: int, f: np.ndarray) -> np.ndarray:
     """The table exp(i (t0 + r h) f_m), shape (k, len(f)), by doubling."""
     return _rows(np.exp(1j * t0 * f), lambda j: np.exp(1j * (j * h) * f), k)
-
-
-def _ladder(x: np.ndarray) -> tuple[float, float]:
-    """The step of the ladder x_0 + k step through x's end points, and x's
-    largest distance from it."""
-    step = (x[-1] - x[0]) / max(x.size - 1, 1)
-    return step, float(np.abs(x - (x[0] + step * np.arange(x.size))).max())
 
 
 _INV_TWO_PI = 54157620742477409023451113735280473968  # 2**128 / (2 pi), rounded
@@ -284,35 +276,24 @@ def _chirp_sum(
     return out.swapaxes(1, 2).reshape(n_segs * seg, -1)[:n]
 
 
-def _phase_sum(tau: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """S[k, q] = sum_m c[m, q] exp(i tau_k f_m) over increasing tau, in bounded memory.
+def _phase_sum(
+    t0: float, h: float, n: int, f: np.ndarray, c: np.ndarray, comb: tuple | None = None
+) -> np.ndarray:
+    """S[k, q] = sum_m c[m, q] exp(i (t0 + k h) f_m) for k < n, in bounded memory.
 
-    When tau lies on its ladder tau_0 + k h (h through the end points) to
-    within _TABLE_GAP_RAD of phase, as time_grid stretches do, the sum is the
-    ladder's. If f lies on its own ladder too, as the comb of a free stretch
-    does, with both gaps' phase errors together within _TABLE_GAP_RAD, and the
-    sizes favour it (_chirp_pays), the sum is a chirp-z transform
+    The caller states the ladders: the sample times t0 + k h, and on a free
+    stretch the comb's f_m = f0 + m d as comb = (f0, d). Given the comb, where
+    the sizes favour it (_chirp_pays), the sum is a chirp-z transform
     (_chirp_sum). Otherwise samples go in blocks of B = ceil(sqrt(n)): an
-    in-block table exp(i r h f) times one column exp(i (tau_0 + b B h) f) c per
-    block, in one matrix product. Times off their ladder take the dense
-    exp(i tau f) c one block at a time. Memory is O(sqrt(n) len(f) q) for the
+    in-block table exp(i r h f) times one column exp(i (t0 + b B h) f) c per
+    block, in one matrix product. Memory is O(sqrt(n) len(f) q) for the
     blocks and O((n + len(f)) q) for the chirp-z.
     """
-    n = tau.size
+    if comb is not None and _chirp_pays(n, f.size):
+        return _chirp_sum(t0, h, *comb, c, n)
     size = math.isqrt(n - 1) + 1
     n_blocks = -(-n // size)
-    h, tau_gap = _ladder(tau)
-    f_max = np.abs(f).max(initial=0.0)
-    if tau_gap * f_max > _TABLE_GAP_RAD:
-        out = np.empty((n, c.shape[1]), dtype=complex)
-        for i in range(0, n, size):
-            out[i : i + size] = np.exp(1j * np.multiply.outer(tau[i : i + size], f)) @ c
-        return out
-    if _chirp_pays(n, f.size):
-        d, f_gap = _ladder(f)
-        if tau_gap * f_max + f_gap * np.abs(tau).max() <= _TABLE_GAP_RAD:
-            return _chirp_sum(tau[0], h, f[0], d, c, n)
-    cols = np.multiply(_table(tau[0], size * h, n_blocks, f).T[:, :, None], c[:, None], order="C")
+    cols = np.multiply(_table(t0, size * h, n_blocks, f).T[:, :, None], c[:, None], order="C")
     out = _table(0.0, h, size, f) @ cols.reshape(f.size, -1)
     return out.reshape(size, n_blocks, -1).swapaxes(0, 1).reshape(n_blocks * size, -1)[:n]
 
@@ -333,8 +314,10 @@ def trace_bytes(n_atoms: float, n_t: float, pulse_samples: float) -> float:
     (7 n + 24 F) q: two spectra of up to (2 n + L) q entries each, the output,
     and the chirp and its kernel, with the FFT length L <= 4 F. F = n_atoms
     and q = 1 over a free stretch of up to n_t samples; F = 3 n_atoms beats
-    and q = 8 columns, plus the coefficients, inside a square pulse. All in
-    floats, so a grid of 1e300 samples is simply too large.
+    and q = 5 columns, plus the coefficients, inside a square pulse, where the
+    walk also holds each atom's eigenvectors, beats and weighted state (1 kB
+    per atom covers them). All in floats, so a grid of 1e300 samples is
+    simply too large.
     """
 
     def phase_sum(n: float, f: float, q: int) -> float:
@@ -342,7 +325,8 @@ def trace_bytes(n_atoms: float, n_t: float, pulse_samples: float) -> float:
         table = f * s * (1 + q) + f * q + 2.0 * n * q
         return 16.0 * max(table, (7.0 * n + 24.0 * f) * q)
 
-    pulse = phase_sum(pulse_samples, 3.0 * n_atoms, 8) if pulse_samples > 0 else 0.0
+    walk = phase_sum(pulse_samples, 3.0 * n_atoms, 5) + 1024.0 * n_atoms
+    pulse = walk if pulse_samples > 0 else 0.0
     return 640.0 * n_t + 1024.0 * n_atoms + max(phase_sum(n_t, n_atoms, 1), pulse)
 
 
@@ -371,17 +355,22 @@ def _trace(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted comb sums of P(t) and the mean populations along the exact walk.
 
-    On a free stretch rho12 advances at +delta; a stretch where it is zero for
-    every atom gives P = +0.0 without a sum. Inside a square pulse the mean
+    Each stretch's samples are a ladder t0 + k h, as times is a uniform grid,
+    and so is the comb. On a free stretch rho12 advances at +delta; a stretch
+    where it is zero for every atom gives P = +0.0 without a sum. Inside a
+    square pulse the mean
     rho_xy(tau) = sum_n w_n sum_kl v_xk v_yl r_kl exp(-i beat_kl tau). Its
     diagonal beats are zero, so their terms are one constant per output; and
     beat_lk = -beat_kl, so the (l, k) term is the conjugate of a sum at the
-    (k, l) beat. The comb sum runs over the 3 n_atoms beats k < l with 8
-    columns, [c_kl | conj(c_lk)] for the four outputs (x, y) an echo run reads.
+    (k, l) beat. The populations are real, so for them that conjugate is the
+    (k, l) sum itself: the comb sum runs over the 3 n_atoms beats k < l with
+    5 columns, c_kl for the four outputs (x, y) an echo run reads and
+    conj(c_lk) for P, and each population is its constant plus 2 Re S_kl.
     """
     ground = np.zeros((deltas.size, 3, 3), dtype=complex)
     ground[:, 0, 0] = 1.0
     diag = (np.arange(3), np.arange(3))
+    comb = (deltas[0], (deltas[-1] - deltas[0]) / (deltas.size - 1))
     pol = np.empty(times.size, dtype=complex)
     pops = np.empty((times.size, 3))
     idx = 0
@@ -389,24 +378,25 @@ def _trace(
         j = int(np.searchsorted(times, end, side="left"))
         if j == idx:
             continue
-        tau = times[idx:j] - start
+        n = j - idx
+        t0 = times[idx] - start
+        h = ((times[j - 1] - start) - t0) / max(n - 1, 1)
         if pulse is None:
             coef = weights * rho[:, 0, 1]
-            pol[idx:j] = _phase_sum(tau, deltas, coef[:, None])[:, 0] if coef.any() else 0.0
+            pol[idx:j] = _phase_sum(t0, h, n, deltas, coef[:, None], comb)[:, 0] if coef.any() else 0.0
             pops[idx:j] = weights @ rho[:, diag[0], diag[1]].real
         else:
             v, beat = pulse
-            vx, vy = v[:, _OUT_X], v[:, _OUT_Y]  # (n, output, level)
+            vx, vy = v[:, _OUT_X], v[:, _OUT_Y]  # (atom, output, level)
             wr = weights[:, None, None] * rho
             k, l = _BEAT_K, _BEAT_L
-            coef = np.empty((deltas.size, 3, 8), dtype=complex)  # (n, beat, column)
+            coef = np.empty((deltas.size, 3, 5), dtype=complex)  # (atom, beat, column)
             coef[:, :, :4] = (vx[:, :, k] * vy[:, :, l] * wr[:, None, k, l]).swapaxes(1, 2)
-            coef[:, :, 4:] = np.conj(vx[:, :, l] * vy[:, :, k] * wr[:, None, l, k]).swapaxes(1, 2)
+            coef[:, :, 4] = np.conj(vx[:, 0, l] * vy[:, 0, k] * wr[:, l, k])
             const = np.einsum("nok,nok,nk->o", vx, vy, wr[:, diag[0], diag[1]])
-            s = _phase_sum(tau, -beat[:, k, l].ravel(), coef.reshape(-1, 8))
-            mean = s[:, :4] + s[:, 4:].conj() + const
-            pol[idx:j] = mean[:, 0]
-            pops[idx:j] = mean[:, 1:].real
+            s = _phase_sum(t0, h, n, -beat[:, k, l].ravel(), coef.reshape(-1, 5))
+            pol[idx:j] = s[:, 0] + s[:, 4].conj() + const[0]
+            pops[idx:j] = 2.0 * s[:, 1:4].real + const[1:].real
         idx = j
     return pol, pops
 
@@ -422,14 +412,19 @@ def simulate_ensemble(
     engine="hard" treats every pulse as an instantaneous rotation (requires
     zero durations); engine="ode" propagates square envelopes exactly
     (requires finite durations). Both run the same piecewise-exact trace.
-    A run whose trace_bytes estimate passes TRACE_BUDGET_BYTES is refused with
-    ValueError before any array of the comb exists.
+    times must be a uniform grid from >= 0, strictly increasing and bit for
+    bit np.linspace(times[0], times[-1], times.size), as time_grid's output
+    and a single instant are. Other times, and a run whose trace_bytes
+    estimate passes TRACE_BUDGET_BYTES, raise ValueError before any array of
+    the comb exists.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-d array")
-    if np.any(np.diff(times) <= 0) or times[0] < 0:
-        raise ValueError("times must be strictly increasing and >= 0")
+    if not (times[0] >= 0 and math.isfinite(times[-1]) and np.all(np.diff(times) > 0)):
+        raise ValueError("times must be finite, strictly increasing and >= 0")
+    if not np.array_equal(times, np.linspace(times[0], times[-1], times.size)):
+        raise ValueError("times must be uniform: np.linspace(times[0], times[-1], times.size)")
     if engine == "hard":
         if any(not p.is_hard for p in seq.pulses):
             raise ValueError("hard engine requires zero-duration pulses")
@@ -505,16 +500,14 @@ def predict_echo_times(seq: PulseSequence) -> list[float]:
     return echoes
 
 
-def detect_echoes(
-    times: np.ndarray,
-    polarization: np.ndarray,
-    seq: PulseSequence,
-    threshold_fraction: float = 0.2,
-) -> EchoReport:
+_ECHO_THRESHOLD = 0.2  # a peak's least |P|, as a fraction of the largest out-of-pulse |P|
+
+
+def detect_echoes(times: np.ndarray, polarization: np.ndarray, seq: PulseSequence) -> EchoReport:
     """Label local |P| maxima outside pulse intervals as echo events.
 
     A sample is a peak if it tops both neighbors (ties broken leftward),
-    clears threshold_fraction of the largest out-of-pulse |P|, and sits more
+    clears _ECHO_THRESHOLD of the largest out-of-pulse |P|, and sits more
     than one grid step from every pulse interval. Peaks within three grid
     steps plus the longest pulse duration of a ledger prediction are labeled
     E1/E2 by prediction order, anything else "other"; the ledger counts from
@@ -526,8 +519,6 @@ def detect_echoes(
     pol = np.asarray(polarization, dtype=complex)
     if times.shape != pol.shape or times.ndim != 1:
         raise ValueError("times and polarization must be matching 1-d arrays")
-    if not 0.0 < threshold_fraction <= 1.0:
-        raise ValueError("threshold_fraction must be in (0, 1]")
     predicted = tuple(predict_echo_times(seq))
     if times.size < 3:
         return EchoReport((), predicted)
@@ -545,7 +536,7 @@ def detect_echoes(
     ref = float(open_mag.max())
     if ref == 0.0:
         return EchoReport((), predicted)
-    thr = threshold_fraction * ref
+    thr = _ECHO_THRESHOLD * ref
 
     window = 3.0 * dt + max((p.duration for p in seq.pulses), default=0.0) + 1e-12
     mid = mag[1:-1]

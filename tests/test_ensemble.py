@@ -27,14 +27,12 @@ from cdrecho import (
 )
 from cdrecho import ensemble
 from cdrecho.ensemble import (
-    _TABLE_GAP_RAD,
     TRACE_BUDGET_BYTES,
     EchoEvent,
     _chirp_pays,
     _chirp_sum,
     _cycles,
     _grid,
-    _ladder,
     _phase_sum,
     _turns,
     trace_bytes,
@@ -83,7 +81,7 @@ def cdr_seq():
     )
 
 
-def detect_echoes_loop(times, pol, seq, threshold_fraction=0.2):
+def detect_echoes_loop(times, pol, seq):
     """Per-sample loop form of detect_echoes: the reference for the vectorized one."""
     dt = float(np.median(np.diff(times)))
     pad = dt * (1.0 + 1e-9)
@@ -94,7 +92,7 @@ def detect_echoes_loop(times, pol, seq, threshold_fraction=0.2):
     open_mag = mag[~excluded]
     if open_mag.size == 0 or open_mag.max() == 0.0:
         return ()
-    thr = threshold_fraction * float(open_mag.max())
+    thr = 0.2 * float(open_mag.max())
     predicted = predict_echo_times(seq)
     window = 3.0 * dt + max((p.duration for p in seq.pulses), default=0.0) + 1e-12
     events = []
@@ -213,7 +211,8 @@ class TestPhaseSum:
         shape = (n_freqs, columns)
         c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         dense = np.exp(1j * np.outer(tau, f)) @ c
-        got = _phase_sum(tau, f, c)
+        h = (tau[-1] - tau[0]) / max(tau.size - 1, 1)
+        got = _phase_sum(tau[0], h, tau.size, f, c)
         assert got.shape == dense.shape
         scale = np.abs(c).sum(axis=0)  # the largest |S_k| any phases can give
         assert np.all(np.abs(got - dense).max(axis=0) <= 1e-12 * scale)
@@ -237,76 +236,16 @@ class TestPhaseSum:
         tau = times - max(times[0] - lag * dt, 0.0)
         self.check(tau, times[-1], np.random.default_rng(seed), n_freqs, columns)
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        n=st.integers(min_value=1, max_value=3000),
-        n_freqs=st.integers(min_value=1, max_value=60),
-        columns=st.sampled_from([1, 9]),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_non_uniform_times_match_dense_sum(self, n, n_freqs, columns, seed):
-        # times off a uniform ladder take the dense sum, one block at a time
-        rng = np.random.default_rng(seed)
-        tau = np.cumsum(rng.exponential(1e-8, n))
-        self.check(tau, tau[-1], rng, n_freqs, columns)
-
-    @staticmethod
-    def dense_blocks(tau, f, c):
-        # exp(i tau f) c one block of ceil(sqrt(n)) samples at a time, the
-        # same operations as _phase_sum's off-ladder path
-        size = math.isqrt(tau.size - 1) + 1
-        blocks = [tau[i : i + size] for i in range(0, tau.size, size)]
-        return np.concatenate([np.exp(1j * np.multiply.outer(b, f)) @ c for b in blocks])
-
-    @staticmethod
-    def moved_ladder(n, lead, pick, n_freqs, columns, seed, by):
-        """A ladder, the same with one inner sample moved by `by` gaps, f and c."""
-        ladder = (lead + np.arange(n)) * 1e-8
-        rng = np.random.default_rng(seed)
-        f = rng.uniform(-1.0, 1.0, n_freqs) * 1e3 / ladder[-1]
-        shape = (n_freqs, columns)
-        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        tau = ladder.copy()
-        tau[1 + int(pick * (n - 3))] += by * _TABLE_GAP_RAD / np.abs(f).max()
-        return ladder, tau, f, c
-
-    ladder_cases = given(
-        n=st.integers(min_value=3, max_value=3000),
-        lead=st.floats(min_value=0.0, max_value=3000.0),
-        pick=st.floats(min_value=0.0, max_value=1.0),
-        n_freqs=st.integers(min_value=1, max_value=60),
-        columns=st.sampled_from([1, 9]),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-
-    @settings(max_examples=30, deadline=None)
-    @ladder_cases
-    def test_sample_past_the_gap_takes_the_dense_sum(
-        self, n, lead, pick, n_freqs, columns, seed
-    ):
-        # the end points fix the ladder, so an inner sample 1.1 gaps off it
-        # leaves the ladder tables for the dense blocked sum
-        _, tau, f, c = self.moved_ladder(n, lead, pick, n_freqs, columns, seed, 1.1)
-        assert np.array_equal(_phase_sum(tau, f, c), self.dense_blocks(tau, f, c))
-
-    @settings(max_examples=30, deadline=None)
-    @ladder_cases
-    def test_sample_inside_the_gap_takes_the_ladder(
-        self, n, lead, pick, n_freqs, columns, seed
-    ):
-        # 0.9 gaps off the ladder, the sum is the unmoved ladder's
-        ladder, tau, f, c = self.moved_ladder(n, lead, pick, n_freqs, columns, seed, 0.9)
-        assert np.array_equal(_phase_sum(tau, f, c), _phase_sum(ladder, f, c))
-
     @pytest.mark.parametrize("n", [1, 2, 3, 700, 3000])
     @pytest.mark.parametrize("n_freqs", [1, 7])
     def test_zero_frequencies_match_dense_sum(self, n, n_freqs):
         # every phase is 0, whatever tau: S_k = sum_m c[m]
         rng = np.random.default_rng(n)
-        tau = np.cumsum(rng.exponential(1e-8, n))
+        t0, h = rng.exponential(1e-8, 2)
+        tau = t0 + h * np.arange(n)
         f = np.zeros(n_freqs)
         c = rng.standard_normal((n_freqs, 9)) + 1j * rng.standard_normal((n_freqs, 9))
-        got = _phase_sum(tau, f, c)
+        got = _phase_sum(t0, h, n, f, c)
         dense = np.exp(1j * np.outer(tau, f)) @ c
         assert got.shape == dense.shape == (n, 9)
         assert np.all(np.abs(got - dense).max(axis=0) <= 1e-12 * np.abs(c).sum(axis=0))
@@ -354,48 +293,29 @@ class TestPhaseSum:
         scale = np.abs(c).sum(axis=0)
         assert np.all(np.abs(got[rows] - want).max(axis=0) <= 1e-12 * scale)
 
-    @staticmethod
-    def moved_comb(n, n_freqs, pick, columns, seed, by):
-        """Ladder times, a comb, the comb with one inner frequency moved by `by`
-        gaps, and coefficients."""
-        tau = (3.0 + np.arange(n)) * 1e-8
-        f = np.linspace(-1.0, 1.0, n_freqs) * 1e3 / tau[-1]
-        rng = np.random.default_rng(seed)
-        shape = (n_freqs, columns)
-        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        moved = f.copy()
-        moved[1 + int(pick * (n_freqs - 3))] += by * _TABLE_GAP_RAD / tau[-1]
-        return tau, f, moved, c
-
-    comb_cases = given(
-        n=st.integers(min_value=500, max_value=5000),
-        n_freqs=st.integers(min_value=1001, max_value=2501),
-        pick=st.floats(min_value=0.0, max_value=1.0),
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=5000),
+        n_freqs=st.integers(min_value=1, max_value=2501),
         columns=st.sampled_from([1, 9]),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-
-    @settings(max_examples=20, deadline=None)
-    @comb_cases
-    def test_frequency_inside_the_gap_takes_the_chirp_z(
-        self, n, n_freqs, pick, columns, seed
-    ):
-        # 0.9 gaps off the comb's ladder, the sum is the unmoved ladder's chirp-z
-        tau, f, moved, c = self.moved_comb(n, n_freqs, pick, columns, seed, 0.9)
-        assert _chirp_pays(n, n_freqs)
-        h, d = _ladder(tau)[0], _ladder(f)[0]
-        want = _chirp_sum(tau[0], h, f[0], d, c, n)
-        assert np.array_equal(_phase_sum(tau, moved, c), want)
-        assert np.array_equal(_phase_sum(tau, f, c), want)
-
-    @settings(max_examples=20, deadline=None)
-    @comb_cases
-    def test_frequency_past_the_gap_takes_the_table(self, n, n_freqs, pick, columns, seed):
-        # 1.1 gaps off the comb's ladder, the sum is the ladder table's
-        tau, _, moved, c = self.moved_comb(n, n_freqs, pick, columns, seed, 1.1)
-        got = _phase_sum(tau, moved, c)
-        with mock.patch.object(ensemble, "_chirp_pays", return_value=False):
-            assert np.array_equal(got, _phase_sum(tau, moved, c))
+    @example(3000, 2001, 9, 0)  # the chirp-z pays
+    @example(300, 61, 1, 1)  # it does not
+    def test_stated_comb_takes_the_chirp_z_where_it_pays(self, n, n_freqs, columns, seed):
+        # given the comb's ladder, the sum is the chirp-z's where _chirp_pays
+        # and the ladder table's, the sum without a comb, elsewhere
+        t0, h = 3e-8, 1e-8
+        f = np.linspace(-1.0, 1.0, n_freqs) * 1e3 / (t0 + (n - 1) * h)
+        comb = (f[0], (f[-1] - f[0]) / max(n_freqs - 1, 1))
+        rng = np.random.default_rng(seed)
+        shape = (n_freqs, columns)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = _phase_sum(t0, h, n, f, c, comb)
+        if _chirp_pays(n, n_freqs):
+            assert np.array_equal(got, _chirp_sum(t0, h, *comb, c, n))
+        else:
+            assert np.array_equal(got, _phase_sum(t0, h, n, f, c))
 
     @pytest.mark.parametrize(
         "beta, j",
@@ -724,7 +644,7 @@ class TestDetectEchoes:
         times = time_grid(10 * US, 0.01 * US)
         bump = lambda c, w: np.exp(-((times - c) ** 2) / (2 * w**2))
         pol = (0.05j * bump(2.5 * US, 0.05 * US)) + (1.0j * bump(8 * US, 0.05 * US))
-        report = detect_echoes(times, pol, seq, threshold_fraction=0.2)
+        report = detect_echoes(times, pol, seq)
         assert [e.label for e in report.events] == ["E1"]
 
     def test_peaks_inside_pulse_windows_ignored(self):
@@ -739,10 +659,6 @@ class TestDetectEchoes:
         times = time_grid(10 * US, 0.01 * US)
         with pytest.raises(ValueError):
             detect_echoes(times, np.zeros(3, complex), seq)
-        with pytest.raises(ValueError):
-            detect_echoes(times, np.zeros_like(times, dtype=complex), seq, 0.0)
-        with pytest.raises(ValueError):
-            detect_echoes(times, np.zeros_like(times, dtype=complex), seq, 1.5)
 
     def test_finite_pulse_echo_off_ledger_is_still_labeled(self):
         # the centre-based ledger puts E2 at 8.06 us; with 0.2 us pulses the
@@ -777,14 +693,10 @@ class TestDetectEchoes:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         levels=st.integers(min_value=2, max_value=6),
         width=st.integers(min_value=0, max_value=40),
-        threshold=st.one_of(
-            st.floats(min_value=0.05, max_value=1.0),
-            st.sampled_from([0.2, 0.25, 0.5, 1.0]),
-        ),
     )
     # three predicted echoes, with peaks labelled E1, E2 and "other" beside the third
-    @example(seed=5, levels=3, width=10, threshold=0.5)
-    def test_matches_loop_reference(self, seed, levels, width, threshold):
+    @example(seed=5, levels=3, width=10)
+    def test_matches_loop_reference(self, seed, levels, width):
         rng = np.random.default_rng(seed)
         dt = 0.01 * US
         times = time_grid(10 * US, dt)
@@ -801,8 +713,8 @@ class TestDetectEchoes:
             pulses.append(Pulse(channel, area, start, duration=width * dt))
             start = pulses[-1].t_end + int(rng.integers(1, 200)) * dt
         seq = PulseSequence(pulses=tuple(pulses), t_end=max(10 * US, pulses[-1].t_end))
-        report = detect_echoes(times, pol, seq, threshold)
-        assert report.events == detect_echoes_loop(times, pol, seq, threshold)
+        report = detect_echoes(times, pol, seq)
+        assert report.events == detect_echoes_loop(times, pol, seq)
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -946,7 +858,8 @@ class TestOdeEngine:
             (Channel.CONTROL23, 0.7 * PI, 0.5 * US),
             t_end=0.8 * US,
         )
-        times = np.array([0.0, 0.1, 0.35, 0.45, 0.7, 0.8]) * US
+        # 0.1 us apart from 0.05 us, every sample outside both pulses
+        times = np.linspace(0.05 * US, 0.75 * US, 8)
         a = simulate_ensemble(finite, spec, times, engine="ode")
         b = simulate_ensemble(hard, spec, times, engine="hard")
         np.testing.assert_allclose(a.polarization, b.polarization, atol=1e-8)
@@ -983,23 +896,27 @@ class TestOdeEngine:
             st.tuples(
                 st.sampled_from(list(Channel)),
                 st.floats(min_value=0.1, max_value=1.5),  # area / pi
-                st.floats(min_value=0.1, max_value=0.2),  # duration, us
-                st.floats(min_value=0.0, max_value=0.1),  # gap before, us
+                st.integers(min_value=10, max_value=20),  # duration, 0.01 us steps
+                st.integers(min_value=0, max_value=10),  # gap before, 0.01 us steps
             ),
             min_size=1,
             max_size=3,
         )
     )
     def test_random_square_pulses_match_rk4_oracle(self, pulses):
+        # every edge on the 0.01 us grid, so RK4 samples every 20 of its 0.5 ns
+        # steps land on time_grid
         spec = EnsembleSpec(sigma=2 * PI * 1e6, n_atoms=3, span=2.0)
+        step = 0.01 * US
         built = []
         for channel, area, width, gap in pulses:
-            start = built[-1].t_end + gap * US if built else gap * US
-            built.append(Pulse(channel, area * PI, start, duration=width * US))
-        seq = PulseSequence(pulses=tuple(built), t_end=built[-1].t_end + 0.1 * US)
-        dt = min(p.duration for p in built) / 100
-        t_rk4, p_rk4 = rk4_ensemble(seq, spec, dt=dt, stride=10)
-        trace = simulate_ensemble(seq, spec, t_rk4, engine="ode")
+            start = built[-1].t_end + gap * step if built else gap * step
+            built.append(Pulse(channel, area * PI, start, duration=width * step))
+        seq = PulseSequence(pulses=tuple(built), t_end=built[-1].t_end + 10 * step)
+        times = time_grid(seq.t_end, step)
+        t_rk4, p_rk4 = rk4_ensemble(seq, spec, dt=step / 20, stride=20)
+        np.testing.assert_allclose(t_rk4, times, rtol=0, atol=1e-15)
+        trace = simulate_ensemble(seq, spec, times, engine="ode")
         assert np.max(np.abs(trace.polarization - p_rk4)) <= 1e-6
         total = trace.pop_ground + trace.pop_excited + trace.pop_spin
         assert np.max(np.abs(total - 1.0)) <= 1e-12
@@ -1049,12 +966,28 @@ class TestOdeEngine:
     def test_times_validation(self):
         spec = EnsembleSpec(n_atoms=5)
         seq = two_pulse_seq(tau=0.3 * US, t_end=1 * US)
-        with pytest.raises(ValueError):
-            simulate_ensemble(seq, spec, np.array([]))
-        with pytest.raises(ValueError):
-            simulate_ensemble(seq, spec, np.array([0.0, 0.0, 1.0]))
-        with pytest.raises(ValueError):
-            simulate_ensemble(seq, spec, np.array([-1.0, 0.0]))
+        grid = time_grid(1 * US, 0.1 * US)
+        nudged = grid.copy()
+        nudged[4] = np.nextafter(nudged[4], 1.0)  # one ulp off the grid
+        refused = [
+            np.array([]),
+            np.array([0.0, 0.0, 1.0]),
+            np.array([-1.0, 0.0]),
+            np.array([1.0, 0.5, 0.0]) * US,  # uniform, but decreasing
+            np.array([0.0, 0.1, 0.35, 0.45, 0.7, 0.8]) * US,  # increasing, not uniform
+            np.cumsum(np.random.default_rng(0).exponential(1e-8, 50)),
+            nudged,
+            np.array([np.nan]),
+            np.array([np.inf]),
+            np.array([0.0, np.inf]),
+        ]
+        with mock.patch.object(ensemble, "_grid", wraps=_grid) as spy:
+            for times in refused:
+                with pytest.raises(ValueError):
+                    simulate_ensemble(seq, spec, times)
+        assert spy.call_count == 0  # refused before the comb exists
+        for times in (grid, np.array([0.45 * US]), np.linspace(0.3 * US, 0.9 * US, 7)):
+            assert simulate_ensemble(seq, spec, times).times.size == times.size
 
 
 class TestSizeBudget:
@@ -1067,14 +1000,14 @@ class TestSizeBudget:
     def test_trace_past_the_budget_is_refused_before_allocating(
         self, n_atoms, duration, engine
     ):
-        # 9001 samples: over 2 GiB for a million-atom comb, or for 60001 atoms
+        # 18001 samples: over 2 GiB for a million-atom comb, or for 60001 atoms
         # inside a square pulse that spans the window
         seq = PulseSequence(
             pulses=(Pulse(Channel.OPTICAL12, 0.5 * PI, 0.5 * US, duration=duration),),
             t_end=45 * US,
         )
         spec = EnsembleSpec(n_atoms=n_atoms)
-        times = time_grid(45 * US, 0.005 * US)
+        times = time_grid(45 * US, 0.0025 * US)
         pulse_samples = int(np.sum((times >= 0.5 * US) & (times < 0.5 * US + duration)))
         assert trace_bytes(n_atoms, times.size, pulse_samples) > TRACE_BUDGET_BYTES
         tracemalloc.start()
