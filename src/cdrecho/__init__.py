@@ -6,7 +6,7 @@ protocol, plus inhomogeneous-ensemble echo traces, pulse-area propagation
 and deterministic sweep datasets.
 """
 
-from .area import PropagationConfig, propagate_area
+from .area import propagate_area
 from .csvio import CsvWriteError, Table, render_csv, write_csv
 from .ensemble import (
     EchoEvent,
@@ -58,7 +58,6 @@ __all__ = [
     "EnsembleSpec",
     "EnsembleTrace",
     "FigureId",
-    "PropagationConfig",
     "Pulse",
     "PulseSequence",
     "SequenceFileError",

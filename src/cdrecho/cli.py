@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .area import PropagationConfig, propagate_area
+from .area import propagate_area
 from .csvio import CsvWriteError, Table, render_csv, write_csv
 from .ensemble import detect_echoes, simulate_ensemble
 from .seqfile import parse_sequence_file
@@ -140,9 +140,7 @@ def _cmd_echo(args) -> int:
 
 
 def _cmd_propagate(args) -> int:
-    dz = max(args.zmax / 1000.0, 1e-12)
-    config = PropagationConfig(phi0=args.phi0, alpha=args.alpha, z_max=args.zmax, dz=dz)
-    samples = propagate_area(config)
+    samples = propagate_area(args.phi0, args.alpha, args.zmax)
     table = Table(
         columns=("z", "phi_rad"),
         rows=samples,

@@ -2,8 +2,8 @@
 
 Each check pits one implementation route against an independent one (closed
 forms vs unitary composition vs RK4, elementwise rate equations vs a matrix
-commutator, numeric area propagation vs the weak-pulse decay law) and
-reports the worst deviation against a fixed tolerance.
+commutator, closed-form area law vs the weak-pulse decay law) and reports
+the worst deviation against a fixed tolerance.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .area import PropagationConfig, propagate_area
+from .area import propagate_area
 from .integrator import DriveSample, integrate_sequence, rhs
 from .stages import CANONICAL, HALF_PI, StageAreas, after_c2, after_r1, stage_chain
 from .states import (
@@ -157,11 +157,11 @@ def check_rate_equations() -> Check:
 
 def check_area_propagation() -> Check:
     """Weak areas follow exp(-alpha z / 2); a pi area does not move."""
-    weak = propagate_area(PropagationConfig(phi0=0.01, alpha=1.0, z_max=2.0, dz=1e-3))
+    weak = propagate_area(0.01, 1.0, 2.0)
     expected = 0.01 * math.exp(-1.0)
     rel = abs(weak[-1, 1] - expected) / expected
 
-    stat = propagate_area(PropagationConfig(phi0=PI, alpha=1.0, z_max=2.0, dz=1e-3))
+    stat = propagate_area(PI, 1.0, 2.0)
     drift = float(np.abs(stat[:, 1] - PI).max())
     ok = rel <= 1e-2 and drift <= 1e-12
     return Check(

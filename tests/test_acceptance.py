@@ -19,7 +19,6 @@ from cdrecho import (
     DensityMatrix,
     DriveSample,
     FigureId,
-    PropagationConfig,
     StageAreas,
     detect_echoes,
     figure_dataset,
@@ -217,11 +216,11 @@ def test_07_population_inversion_at_echoes(cdr_run):
 
 
 def test_08_area_theorem_limits():
-    weak = propagate_area(PropagationConfig(phi0=0.01, alpha=1.0, z_max=2.0, dz=1e-3))
+    weak = propagate_area(0.01, 1.0, 2.0)
     beer = 0.01 * math.exp(-1.0)
     rel = abs(weak[-1, 1] - beer) / beer
 
-    stat = propagate_area(PropagationConfig(phi0=PI, alpha=1.0, z_max=2.0, dz=1e-3))
+    stat = propagate_area(PI, 1.0, 2.0)
     drift = float(np.abs(stat[:, 1] - PI).max())
     ok = rel <= 1e-2 and drift <= 1e-12
     report(

@@ -365,6 +365,25 @@ class TestPropagate:
         assert z == 2.0
         assert phi == pytest.approx(0.01 * math.exp(-1.0), rel=0.01)
 
+    @pytest.mark.parametrize(
+        "alpha, zmax",
+        [(1.0, 1000.0), (1.0, 20000.0), (50.0, 200.0), (1e308, 2.0), (1e308, 1e308)],
+    )
+    def test_any_optical_depth_follows_the_area_law(self, alpha, zmax, capsys):
+        assert cli_main(
+            ["propagate", "--phi0", "1", "--alpha", repr(alpha), "--zmax", repr(zmax)]
+        ) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        z, phi = np.loadtxt(lines[2:], delimiter=",").T
+        assert len(z) == 1001 and z[-1] == zmax
+        assert np.all((0.0 <= phi) & (phi <= 1.0))
+        assert np.all(np.diff(phi) <= 0.0)
+        # tan(phi/2) = tan(1/2) exp(-alpha z / 2), the half angle kept in (0, pi/2)
+        with np.errstate(over="ignore"):
+            decay = np.exp(-0.5 * alpha * z)
+        want = 2.0 * np.arctan2(math.sin(0.5) * decay, math.cos(0.5))
+        np.testing.assert_allclose(phi, want, rtol=0.0, atol=1e-12)
+
     def test_rejects_negative_alpha(self, capsys):
         rc = cli_main(
             ["propagate", "--phi0", "0.01", "--alpha", "-1.0", "--zmax", "2.0"]

@@ -61,3 +61,16 @@ def test_figures_sweep_and_stages_record_probe_spans(monkeypatch, capsys, tmp_pa
     assert "stages.stage_chain_s" in names
     # every figure's sweep runs through the probed run_sweep
     assert tracer.counts["sweeps.points"] == 14 * 401 + steps
+
+
+def test_propagate_records_area_span_and_steps(monkeypatch, capsys):
+    # the tracer counts area.steps as the table's rows minus one
+    tracer = _load_tracing(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        assert cli_main(["propagate", "--phi0", "0.5", "--alpha", "1", "--zmax", "2"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert "area.propagate_area_s" in {span[2] for span in tracer.spans}
+    assert tracer.counts["area.steps"] == 1000
