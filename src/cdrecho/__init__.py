@@ -36,7 +36,6 @@ from .states import (
     DensityMatrix,
     Pulse,
     PulseSequence,
-    ValidationReport,
     ground_state,
     max_element_distance,
     purity,
@@ -64,7 +63,6 @@ __all__ = [
     "StageAreas",
     "SweepSpec",
     "Table",
-    "ValidationReport",
     "after_c1",
     "after_c2",
     "after_data",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Table", "CsvWriteError", "format_float", "render_csv", "write_csv"]
+__all__ = ["Table", "CsvWriteError", "render_csv", "write_csv"]
 
 _CELL = "%.12g"
 

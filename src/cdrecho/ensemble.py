@@ -28,6 +28,7 @@ Sign convention: Im P < 0 is an absorptive signal, Im P > 0 emissive.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if not math.isfinite(self.sigma) or self.sigma <= 0:
             raise ValueError("sigma must be positive")
+        if not isinstance(self.n_atoms, numbers.Integral):
+            raise ValueError(f"n_atoms must be an integer, got {self.n_atoms!r}")
         if self.n_atoms < 3 or self.n_atoms % 2 == 0:
             raise ValueError("n_atoms must be odd and >= 3")
         if not math.isfinite(self.span) or self.span < 0:
@@ -101,8 +104,8 @@ def time_grid(t_end: float, dt: float) -> np.ndarray:
     The grid is not stretched onto t_end: its last sample n*dt lies within
     dt/2 of t_end (for t_end >= dt/2; a shorter window still gets one step).
     """
-    if dt <= 0 or t_end < 0:
-        raise ValueError("need dt > 0 and t_end >= 0")
+    if not (math.isfinite(dt) and math.isfinite(t_end)) or dt <= 0 or t_end < 0:
+        raise ValueError("need finite dt > 0 and t_end >= 0")
     n = max(1, round(t_end / dt))
     return np.linspace(0.0, n * dt, n + 1)
 
@@ -124,15 +127,6 @@ class EnsembleTrace:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def population_at(self, t: float) -> tuple[float, float, float]:
-        """Mean populations at the sample nearest to t."""
-        i = int(np.argmin(np.abs(self.times - t)))
-        return (
-            float(self.pop_ground[i]),
-            float(self.pop_excited[i]),
-            float(self.pop_spin[i]),
-        )
-
 
 @dataclass(frozen=True)
 class EchoEvent:
@@ -149,9 +143,6 @@ class EchoReport:
 
     events: tuple[EchoEvent, ...]
     predicted: tuple[float, ...]
-
-    def labeled(self, label: str) -> tuple[EchoEvent, ...]:
-        return tuple(e for e in self.events if e.label == label)
 
 
 def _rows(first: np.ndarray, factor, k: int) -> np.ndarray:

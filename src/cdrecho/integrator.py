@@ -14,22 +14,21 @@ right-hand side to the nine unit matrices. One classical RK4 step of length
 h is then exactly the step polynomial T(hL) = 1 + hL + (hL)^2/2 + (hL)^3/6 +
 (hL)^4/24 (the same method and O(h^4) error, not the exact exponential), and
 integrate_sequence advances from one output sample to the next by a single
-matrix power of T. rk4_step keeps the textbook one-step form for
-time-dependent drives and as the reference the step matrices are tested
-against.
+matrix power of T. rk4_step keeps the textbook one-step form as the
+reference the step matrices are tested against.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .states import AtomParams, Channel, DensityMatrix, PulseSequence
 
-__all__ = ["DriveSample", "rhs", "rk4_step", "integrate_sequence"]
+__all__ = ["DriveSample", "rhs", "integrate_sequence"]
 
 
 @dataclass(frozen=True)
@@ -85,21 +84,16 @@ def rhs(rho: DensityMatrix, drive: DriveSample, atom: AtomParams) -> np.ndarray:
 
 
 def rk4_step(
-    rho: DensityMatrix,
-    t: float,
-    dt: float,
-    drive_fn: Callable[[float], DriveSample],
-    atom: AtomParams,
+    rho: DensityMatrix, dt: float, drive: DriveSample, atom: AtomParams
 ) -> DensityMatrix:
-    """One classical RK4 step from t to t + dt."""
+    """One classical RK4 step of length dt under a constant drive."""
     if dt <= 0 or not math.isfinite(dt):
         raise ValueError("dt must be positive and finite")
     r = rho.elements
-    k1 = _rhs_elements(r, drive_fn(t), atom)
-    d_mid = drive_fn(t + 0.5 * dt)
-    k2 = _rhs_elements(r + 0.5 * dt * k1, d_mid, atom)
-    k3 = _rhs_elements(r + 0.5 * dt * k2, d_mid, atom)
-    k4 = _rhs_elements(r + dt * k3, drive_fn(t + dt), atom)
+    k1 = _rhs_elements(r, drive, atom)
+    k2 = _rhs_elements(r + 0.5 * dt * k1, drive, atom)
+    k3 = _rhs_elements(r + 0.5 * dt * k2, drive, atom)
+    k4 = _rhs_elements(r + dt * k3, drive, atom)
     nxt = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return DensityMatrix(_hermitian_checked(nxt))
 
@@ -166,6 +160,8 @@ def integrate_sequence(
     """
     if dt <= 0 or not math.isfinite(dt):
         raise ValueError("dt must be positive and finite")
+    if not isinstance(sample_stride, numbers.Integral):
+        raise ValueError(f"sample_stride must be an integer, got {sample_stride!r}")
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
     durations = [p.duration for p in seq.pulses]

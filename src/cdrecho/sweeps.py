@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,8 @@ class SweepSpec:
             )
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)) or self.hi <= self.lo:
             raise ValueError("need finite lo < hi")
+        if not isinstance(self.steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if not 2 <= self.steps <= MAX_SWEEP_STEPS:
             raise ValueError(f"steps must be in [2, {MAX_SWEEP_STEPS}]")
 

@@ -157,6 +157,9 @@ def run_sequence_hard(
         if not p.is_hard:
             raise ValueError("run_sequence_hard requires zero-duration pulses")
     samples = np.array(sorted(float(t) for t in sample_times))
+    bad = samples[~np.isfinite(samples)]
+    if bad.size:
+        raise ValueError(f"sample times must be finite, got {bad.tolist()}")
     if samples.size and samples[0] < 0:
         raise ValueError("sample times must be >= 0")
 

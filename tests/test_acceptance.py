@@ -171,8 +171,8 @@ def test_06_second_echo_sign_flip(dr_run, cdr_run):
     _, dr_times, _, dr_rep = dr_run
     _, cdr_times, _, cdr_rep = cdr_run
 
-    dr_e2 = dr_rep.labeled("E2")
-    cdr_e2 = cdr_rep.labeled("E2")
+    dr_e2 = [e for e in dr_rep.events if e.label == "E2"]
+    cdr_e2 = [e for e in cdr_rep.events if e.label == "E2"]
     have_both = len(dr_e2) == 1 and len(cdr_e2) == 1
     if not have_both:
         report("second-echo-sign", False, "missing E2 event")
@@ -201,10 +201,11 @@ def test_06_second_echo_sign_flip(dr_run, cdr_run):
 
 def test_07_population_inversion_at_echoes(cdr_run):
     _, _, trace, rep = cdr_run
-    e1 = rep.labeled("E1")[0]
-    e2 = rep.labeled("E2")[0]
-    g1, x1, _ = trace.population_at(e1.time)
-    g2, x2, _ = trace.population_at(e2.time)
+    e1 = [e for e in rep.events if e.label == "E1"][0]
+    e2 = [e for e in rep.events if e.label == "E2"][0]
+    i1, i2 = (trace.times.tolist().index(e.time) for e in (e1, e2))
+    g1, x1 = trace.pop_ground[i1], trace.pop_excited[i1]
+    g2, x2 = trace.pop_ground[i2], trace.pop_excited[i2]
     ok = x1 > g1 and x2 < g2
     report(
         "echo-population-order",

@@ -98,7 +98,7 @@ class TestPropagateArea:
 
 
 class TestAreaLaw:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(
         phi0=st.floats(min_value=-4 * PI, max_value=4 * PI),
         depth=OPTICAL_DEPTHS,
@@ -121,7 +121,7 @@ class TestAreaLaw:
         assert np.all((lo <= phi) & (phi <= hi))
         assert np.all(np.diff(phi) * math.copysign(1.0, target - phi0) >= 0)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(
         phi0=st.floats(min_value=-4 * PI, max_value=4 * PI),
         k=st.integers(min_value=-4, max_value=4),

@@ -136,7 +136,7 @@ class TestRenderCsv:
             render_csv(t)
         assert exc_info.value.code == "NON_FINITE_VALUE"
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(
         columns=st.integers(min_value=1, max_value=6),
         cells=st.lists(
@@ -175,7 +175,7 @@ class TestRenderRuns:
     """Runs of more than a row's width of bit-identical cells are formatted
     once; the bytes must stay those of format_float on every cell."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(table=piecewise_constant_tables())
     def test_piecewise_constant_columns_render_as_per_cell_format_float(self, table):
         assert render_csv(table) == per_cell(table)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_valid_state, sequences
+
 from cdrecho import (
     AtomParams,
     Channel,
@@ -23,12 +25,6 @@ from cdrecho import (
 from cdrecho.integrator import _segments, rk4_step
 
 PI = math.pi
-
-
-def random_valid_state(rng) -> DensityMatrix:
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    m = a @ a.conj().T
-    return DensityMatrix(m / m.trace())
 
 
 def oracle_rhs(rho: np.ndarray, drive: DriveSample, atom: AtomParams) -> np.ndarray:
@@ -109,8 +105,8 @@ class TestRk4Step:
         rho = random_valid_state(rng)
         dt = 1e-9
         stepped = rho
-        for i in range(100):
-            stepped = rk4_step(stepped, i * dt, dt, lambda t: DriveSample(), atom)
+        for _ in range(100):
+            stepped = rk4_step(stepped, dt, DriveSample(), atom)
         free = PulseSequence(pulses=(), t_end=100 * dt)
         exact = run_sequence_hard(rho, free, atom, [100 * dt])[-1][1]
         assert max_element_distance(stepped, exact) <= 1e-13
@@ -124,8 +120,8 @@ class TestRk4Step:
         def err(n):
             rho = rho0
             h = span / n
-            for i in range(n):
-                rho = rk4_step(rho, i * h, h, lambda t: drive, atom)
+            for _ in range(n):
+                rho = rk4_step(rho, h, drive, atom)
             return rho
 
         coarse = err(40)
@@ -138,9 +134,9 @@ class TestRk4Step:
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
-            rk4_step(ground_state(), 0.0, 0.0, lambda t: DriveSample(), AtomParams())
+            rk4_step(ground_state(), 0.0, DriveSample(), AtomParams())
         with pytest.raises(ValueError):
-            rk4_step(ground_state(), 0.0, -1e-9, lambda t: DriveSample(), AtomParams())
+            rk4_step(ground_state(), -1e-9, DriveSample(), AtomParams())
 
     def test_exponential_population_decay(self):
         excited = np.zeros((3, 3), complex)
@@ -148,8 +144,8 @@ class TestRk4Step:
         atom = AtomParams(gamma=(0.0, 1e5, 0.0))
         rho = DensityMatrix(excited)
         dt = 1e-8
-        for i in range(1000):
-            rho = rk4_step(rho, i * dt, dt, lambda t: DriveSample(), atom)
+        for _ in range(1000):
+            rho = rk4_step(rho, dt, DriveSample(), atom)
         assert rho.population(2) == pytest.approx(math.exp(-1e5 * 1e-5), rel=1e-9)
 
 
@@ -294,38 +290,25 @@ def rk4_loop(rho0, seq, atom, dt, stride):
         n = max(1, math.ceil((b - a) / dt - 1e-9))
         h = (b - a) / n
         for i in range(n):
-            rho = rk4_step(rho, a + i * h, h, lambda _t, _d=drive: _d, atom)
+            rho = rk4_step(rho, h, drive, atom)
             if (i + 1) % stride == 0 or i == n - 1:
                 out.append((b if i == n - 1 else a + (i + 1) * h, rho))
     return out
 
 
 class TestStepMatrix:
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     @given(
-        pulses=st.lists(
-            st.tuples(
-                st.sampled_from(list(Channel)),
-                st.floats(min_value=0.1, max_value=1.5),  # area / pi
-                st.floats(min_value=0.1, max_value=0.2),  # duration, us
-                st.floats(min_value=0.0, max_value=0.1),  # gap before, us
-            ),
-            min_size=1,
-            max_size=3,
-        ),
+        case=sequences(("square",)),
         delta=st.floats(min_value=-2 * PI * 5e6, max_value=2 * PI * 5e6),
         delta_s=st.floats(min_value=-2 * PI * 5e6, max_value=2 * PI * 5e6),
         gamma=st.tuples(*[st.floats(min_value=1e3, max_value=1e6)] * 3),
         stride=st.integers(min_value=1, max_value=60),
     )
-    def test_matches_rk4_step_loop(self, pulses, delta, delta_s, gamma, stride):
-        built = []
-        for channel, area, width, gap in pulses:
-            start = built[-1].t_end + gap * 1e-6 if built else gap * 1e-6
-            built.append(Pulse(channel, area * PI, start, duration=width * 1e-6))
-        seq = PulseSequence(pulses=tuple(built), t_end=built[-1].t_end + 0.1e-6)
+    def test_matches_rk4_step_loop(self, case, delta, delta_s, gamma, stride):
+        seq, _ = case
         atom = AtomParams(delta=delta, delta_s=delta_s, gamma=gamma)
-        dt = min(p.duration for p in built) / 100
+        dt = min((p.duration for p in seq.pulses), default=seq.t_end) / 100
         got = integrate_sequence(ground_state(), seq, atom, dt, sample_stride=stride)
         want = rk4_loop(ground_state(), seq, atom, dt, stride)
         assert [t for t, _ in got] == [t for t, _ in want]

@@ -7,24 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_valid_state
+
 from cdrecho import (
     AtomParams,
     Channel,
     DensityMatrix,
     Pulse,
     PulseSequence,
+    after_data,
     ground_state,
     max_element_distance,
     purity,
     validate,
 )
 from cdrecho.states import PulseOverlapError
-
-
-def random_valid_state(rng) -> DensityMatrix:
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    m = a @ a.conj().T
-    return DensityMatrix(m / m.trace())
 
 
 class TestDensityMatrix:
@@ -98,15 +95,11 @@ class TestValidate:
 
 class TestCoherence:
     def test_fresh_weak_coherence(self):
-        from cdrecho import after_data
-
         rho = after_data(0.1 * math.pi)
         want = -0.5j * math.sin(0.1 * math.pi)
         assert rho.elements[0, 1] == pytest.approx(want, abs=1e-9)
 
     def test_half_pi_coherence(self):
-        from cdrecho import after_data
-
         rho = after_data(0.5 * math.pi)
         assert rho.elements[0, 1] == pytest.approx(-0.5j, abs=1e-12)
 
@@ -126,7 +119,7 @@ class TestMaxElementDistance:
         m[1, 1] = 1.0
         assert max_element_distance(a, DensityMatrix(m)) == pytest.approx(1.0)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(seed=st.integers(min_value=0, max_value=2**31))
     def test_triangle_inequality(self, seed):
         rng = np.random.default_rng(seed)

@@ -77,7 +77,7 @@ class TestRunSweep:
         assert meta["phi_c1_pi"] == "1"
         assert "phi_c2_pi" not in meta
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         stage=st.sampled_from(sorted(SCALAR_STAGES)),
         pick=st.integers(0, 4),

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_valid_state, sequences
+
 from cdrecho import (
     AtomParams,
     Channel,
@@ -25,12 +27,6 @@ from cdrecho.stages import after_data
 from cdrecho.unitary import _square_eigen
 
 PI = math.pi
-
-
-def random_valid_state(rng) -> DensityMatrix:
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    m = a @ a.conj().T
-    return DensityMatrix(m / m.trace())
 
 
 def conjugate(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
@@ -215,36 +211,31 @@ class TestRunSequenceHard:
         want = -0.5j * math.sin(0.1 * PI) * np.exp(1j * atom.delta * t)
         assert rho.elements[0, 1] == pytest.approx(want, abs=1e-12)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
-        pulses=st.lists(
-            st.tuples(
-                st.sampled_from(list(Channel)),
-                st.floats(min_value=-4.0, max_value=4.0),  # area / pi
-                st.integers(min_value=0, max_value=5),  # gap before, 0.1 us
-            ),
-            max_size=4,
-        ),
-        samples=st.lists(st.integers(min_value=0, max_value=25), max_size=8),
+        case=sequences(("hard",)),
+        data=st.data(),
         delta=st.floats(min_value=-2e7, max_value=2e7),
         delta_s=st.floats(min_value=-2e7, max_value=2e7),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_matches_dense_loop(self, pulses, samples, delta, delta_s, seed):
-        # integer grids let pulses share an instant and samples land on one
-        built, t = [], 0.0
-        for channel, area, gap in pulses:
-            t += gap * 1e-7
-            built.append(Pulse(channel, area * PI, t))
-        seq = PulseSequence(pulses=tuple(built), t_end=2.5e-6)
+    def test_matches_dense_loop(self, case, data, delta, delta_s, seed):
+        # pulses may share an instant, and samples land on one or repeat
+        seq, grid = case
+        times = data.draw(st.lists(st.sampled_from(grid.tolist()), max_size=8))
         atom = AtomParams(delta=delta, delta_s=delta_s)
         rho0 = random_valid_state(np.random.default_rng(seed))
-        times = [k * 1e-7 for k in samples]
         got = run_sequence_hard(rho0, seq, atom, times)
         want = hard_loop(rho0, seq, atom, times)
         assert [t for t, _ in got] == [t for t, _ in want]
         for (_, rho), (_, m) in zip(got, want):
             assert np.abs(rho.elements - m).max() <= 1e-12
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_sample_times_are_refused(self, bad):
+        seq = PulseSequence(pulses=(Pulse(Channel.OPTICAL12, PI, 1e-6),), t_end=2e-6)
+        with pytest.raises(ValueError, match="sample times must be finite"):
+            run_sequence_hard(ground_state(), seq, AtomParams(), [0.5e-6, bad])
 
     def test_finite_duration_pulse_rejected(self):
         seq = PulseSequence(
