@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import check_route_pairs, rk4_route
+from conftest import check_route_pairs, rk4_route, sequences
 
 from cdrecho import (
     AtomParams,
@@ -519,6 +519,12 @@ class TestProtocolEchoes:
         routes = check_route_pairs(cdr_seq(), spec, times)
         assert routes == ["comb walk", "run_sequence_hard", "eigh"]
 
+    @settings(max_examples=25)
+    @given(sequences(("hard",)), st.sampled_from([3, 9, 31, 41]), st.sampled_from([2.0, 5.0]))
+    def test_random_hard_sequences_are_weighted_sums_of_single_atoms(self, case, n_atoms, span):
+        routes = check_route_pairs(case[0], EnsembleSpec(n_atoms=n_atoms, span=span), case[1])
+        assert {"comb walk", "run_sequence_hard", "eigh"} <= set(routes)
+
     def test_real_part_stays_zero(self):
         pol = simulate_ensemble(cdr_seq(), self.SPEC, self.TIMES).polarization
         assert np.max(np.abs(pol.real)) <= 1e-12
@@ -783,6 +789,18 @@ class TestOdeEngine:
         # the RK4 oracle, atom by atom, on the same comb and samples
         p_rk4, _ = rk4_route(seq, spec, times)
         assert np.max(np.abs(pol - p_rk4)) <= 1e-6
+
+    @settings(max_examples=8)
+    @given(sequences(("square",)), st.sampled_from([2.0, 5.0]))
+    def test_random_square_pulses_match_rk4_oracle(self, case, span):
+        routes = check_route_pairs(case[0], EnsembleSpec(n_atoms=3, span=span), case[1])
+        assert {"comb walk", "eigh", "rk4"} <= set(routes)
+
+    @settings(max_examples=25)
+    @given(sequences(("square",)), st.sampled_from([9, 31, 41]), st.sampled_from([2.0, 5.0]))
+    def test_random_square_pulses_match_per_atom_eigh_propagators(self, case, n_atoms, span):
+        routes = check_route_pairs(case[0], EnsembleSpec(n_atoms=n_atoms, span=span), case[1])
+        assert {"comb walk", "eigh"} <= set(routes)
 
     def test_engine_argument_validation(self):
         spec = EnsembleSpec(n_atoms=5)
