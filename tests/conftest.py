@@ -4,8 +4,9 @@ valid state, and the table of routes to an echo run's observables.
 A route maps (seq, spec, times) to (P, pops): the comb's polarization and its
 (n_t, 3) mean populations at the sample times. The comb walk is
 `simulate_ensemble`. The per-atom routes run `run_sequence_hard`, `eigh`
-exponentials or RK4 on each atom of the comb, pass every per-atom state
-through `validate`, and sum the states with the comb's weights.
+exponentials or RK4 on each atom of the comb and sum the states with the
+comb's weights; every per-atom state that `run_sequence_hard` or RK4 returns
+passes `validate`.
 """
 
 import math
@@ -44,47 +45,51 @@ def random_valid_state(rng) -> DensityMatrix:
 
 
 @st.composite
-def sequences(draw, kinds=("hard", "square")):
-    """(seq, times): up to five hard pulses or four square ones, and a
-    time_grid with a step of 0.01 or 0.1 us that holds every pulse edge.
+def sequences(draw, kind, on_grid=False):
+    """(seq, times) for kind "hard" or "square": up to five hard pulses or
+    four square ones, and a time_grid with a step of 0.01 or 0.1 us.
 
     Hard areas lie in [-4 pi, 4 pi]; square areas in (0, 2 pi), over 5 to 30
-    steps (0.05 to 0.3 us at 0.01 us). Each pulse starts 0 to 10 steps after
+    steps (0.05 to 0.3 us at 0.01 us). Each pulse starts 0 to 50 steps after
     the previous one ends (0 shares its instant or edge), and the window runs
-    on 0 to 20 steps after the last.
+    on 0 to 100 steps after the last. With on_grid, and in half the other
+    draws, every gap, width and tail is a whole number of steps, so every
+    edge is a sample; otherwise they take any fraction of a step, so edges
+    fall between samples.
     """
-    hard = draw(st.sampled_from(kinds)) == "hard"
-    if hard:
-        area = st.floats(-4 * PI, 4 * PI)
+    whole = on_grid or draw(st.booleans())
+    steps = st.integers if whole else st.floats
+    if kind == "hard":
+        area, width = st.floats(-4 * PI, 4 * PI), st.just(0)
     else:
         area = st.floats(0.0, 2 * PI, exclude_min=True, exclude_max=True)
-    width = st.just(0) if hard else st.integers(5, 30)
-    gap = st.integers(0, 10)
+        width = steps(5, 30)
+    gap = st.one_of(st.just(0), steps(0, 50))
     pulse = st.tuples(st.sampled_from(list(Channel)), area, width, gap)
-    drawn = draw(st.lists(pulse, max_size=5 if hard else 4))
-    tail = draw(st.integers(0, 20))
+    drawn = draw(st.lists(pulse, max_size=5 if kind == "hard" else 4))
+    tail = draw(steps(0, 100))
     step = draw(st.sampled_from([0.01e-6, 0.1e-6]))
     times = time_grid(step * (sum(w + g for _, _, w, g in drawn) + tail), step)
     pulses, k, end = [], 0, 0.0
     for channel, a, w, g in drawn:
         k += g
-        pulses.append(Pulse(channel, a, end if g == 0 else float(times[k]), w * step))
+        # a whole-step start is its sample itself, not a sum an ulp off it
+        start = float(times[k]) if whole and g else end + g * step
+        pulses.append(Pulse(channel, a, start, w * step))
         k += w
         end = pulses[-1].t_end
     # a square pulse may end an ulp off its sample; with no tail the window ends there
-    t_end = end if pulses and not tail else float(times[-1])
+    t_end = end if pulses and not tail else max(end, float(times[-1]))
     return PulseSequence(tuple(pulses), t_end=t_end), times
 
 
-def _checked(states) -> np.ndarray:
-    """The (n, 3, 3) per-atom states, once each has passed validate."""
-    out = []
-    for rho in states:
-        rho = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
+def _checked(out) -> np.ndarray:
+    """The (n, 3, 3) states of a per-atom run's (t, DensityMatrix) list, once
+    each has passed validate."""
+    for _, rho in out:
         report = validate(rho)
         assert report.ok, report.violations
-        out.append(rho.elements)
-    return np.array(out).reshape(-1, 3, 3)
+    return np.array([rho.elements for _, rho in out]).reshape(-1, 3, 3)
 
 
 def _weighted(spec, times, run_atom):
@@ -113,7 +118,7 @@ def hard_route(seq, spec, times):
 
     def run_atom(delta):
         out = run_sequence_hard(ground_state(), seq, AtomParams(delta=delta), times)
-        states = dict(zip([t for t, _ in out], _checked(rho for _, rho in out)))
+        states = dict(zip([t for t, _ in out], _checked(out)))
         return np.array([states[t] for t in times.tolist()])
 
     return _weighted(spec, times, run_atom)
@@ -146,16 +151,16 @@ def eigh_route(seq, spec, times):
             inside = (times >= start) & (times < end)
             tau = np.append(times[inside] - start, span)
             u = (v * np.exp(-1j * np.multiply.outer(tau, w))[:, None, :]) @ v.T
-            got = _checked(u @ rho @ u.conj().swapaxes(1, 2))
+            got = u @ rho @ u.conj().swapaxes(1, 2)
             states[inside], rho = got[:-1], got[-1]
         return states
 
     return _weighted(spec, times, run_atom)
 
 
-# RK4 steps per sample: on drawn square sequences RK4 then stays within 3e-10
-# of the exact routes, and its states' eigenvalues above -5e-11, where
-# validate allows -1e-9 (worst of 300 at 3 atoms, searched with target())
+# RK4 steps per sample: on drawn on-grid square sequences RK4 then stays
+# within 4e-10 of the exact routes, and its states' eigenvalues above -5e-11,
+# where validate allows -1e-9 (worst of 300 at 3 atoms, searched with target())
 RK4_STRIDE = 200
 
 
@@ -169,7 +174,7 @@ def rk4_route(seq, spec, times):
             ground_state(), seq, AtomParams(delta=delta), dt, sample_stride=RK4_STRIDE
         )
         np.testing.assert_allclose([t for t, _ in out], times, rtol=0, atol=1e-15)
-        return _checked(rho for _, rho in out)
+        return _checked(out)
 
     return _weighted(spec, times, run_atom)
 

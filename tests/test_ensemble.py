@@ -306,6 +306,8 @@ class TestPhaseSum:
         # 1e5 rad (a millisecond window) hold that they do not grow with |tau f|
         t0 = lead * h
         f_max = phase / (t0 + (n - 1) * h) if n > 1 or t0 > 0 else 0.0
+        # one sample at a t0 below phase / 1.8e308 s (lead ~1e-308) overflows f_max
+        assume(math.isfinite(f_max))
         sign = -1.0 if descending else 1.0
         f0 = -sign * f_max if n_freqs > 1 else sign * f_max
         d = sign * 2.0 * f_max / max(n_freqs - 1, 1) if n_freqs > 1 else 0.0
@@ -520,7 +522,7 @@ class TestProtocolEchoes:
         assert routes == ["comb walk", "run_sequence_hard", "eigh"]
 
     @settings(max_examples=25)
-    @given(sequences(("hard",)), st.sampled_from([3, 9, 31, 41]), st.sampled_from([2.0, 5.0]))
+    @given(sequences("hard"), st.sampled_from([3, 9, 31, 41]), st.sampled_from([2.0, 3.0, 5.0]))
     def test_random_hard_sequences_are_weighted_sums_of_single_atoms(self, case, n_atoms, span):
         routes = check_route_pairs(case[0], EnsembleSpec(n_atoms=n_atoms, span=span), case[1])
         assert {"comb walk", "run_sequence_hard", "eigh"} <= set(routes)
@@ -791,13 +793,13 @@ class TestOdeEngine:
         assert np.max(np.abs(pol - p_rk4)) <= 1e-6
 
     @settings(max_examples=8)
-    @given(sequences(("square",)), st.sampled_from([2.0, 5.0]))
+    @given(sequences("square", on_grid=True), st.sampled_from([2.0, 3.0, 5.0]))
     def test_random_square_pulses_match_rk4_oracle(self, case, span):
         routes = check_route_pairs(case[0], EnsembleSpec(n_atoms=3, span=span), case[1])
         assert {"comb walk", "eigh", "rk4"} <= set(routes)
 
     @settings(max_examples=25)
-    @given(sequences(("square",)), st.sampled_from([9, 31, 41]), st.sampled_from([2.0, 5.0]))
+    @given(sequences("square"), st.sampled_from([9, 31, 41]), st.sampled_from([2.0, 3.0, 5.0]))
     def test_random_square_pulses_match_per_atom_eigh_propagators(self, case, n_atoms, span):
         routes = check_route_pairs(case[0], EnsembleSpec(n_atoms=n_atoms, span=span), case[1])
         assert {"comb walk", "eigh"} <= set(routes)

@@ -299,7 +299,7 @@ def rk4_loop(rho0, seq, atom, dt, stride):
 class TestStepMatrix:
     @settings(max_examples=10)
     @given(
-        case=sequences(("square",)),
+        case=sequences("square"),
         delta=st.floats(min_value=-2 * PI * 5e6, max_value=2 * PI * 5e6),
         delta_s=st.floats(min_value=-2 * PI * 5e6, max_value=2 * PI * 5e6),
         gamma=st.tuples(*[st.floats(min_value=1e3, max_value=1e6)] * 3),

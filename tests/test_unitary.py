@@ -213,7 +213,7 @@ class TestRunSequenceHard:
 
     @settings(max_examples=40)
     @given(
-        case=sequences(("hard",)),
+        case=sequences("hard"),
         data=st.data(),
         delta=st.floats(min_value=-2e7, max_value=2e7),
         delta_s=st.floats(min_value=-2e7, max_value=2e7),
@@ -222,7 +222,8 @@ class TestRunSequenceHard:
     def test_matches_dense_loop(self, case, data, delta, delta_s, seed):
         # pulses may share an instant, and samples land on one or repeat
         seq, grid = case
-        times = data.draw(st.lists(st.sampled_from(grid.tolist()), max_size=8))
+        instants = [p.t_start for p in seq.pulses]
+        times = data.draw(st.lists(st.sampled_from(grid.tolist() + instants), max_size=8))
         atom = AtomParams(delta=delta, delta_s=delta_s)
         rho0 = random_valid_state(np.random.default_rng(seed))
         got = run_sequence_hard(rho0, seq, atom, times)
