@@ -14,6 +14,13 @@ pulses alike; this module keeps only the weighted comb sums. The `engine`
 name only states which pulses a sequence may hold; the RK4 integrator is the
 independent oracle.
 
+The walk takes half the comb by its mirror symmetry. The pulse couplings are
+real, the spin level is not detuned (delta_s = 0), every atom starts in |1>
+and the comb is symmetric about 0 with even weights. So the atom at -delta
+is the mirror image of the one at +delta: rho12(-delta) = -conj(rho12(delta)),
+with equal populations (`_trace`). P is then exactly imaginary, and its real
+part is +0.0.
+
 The sample times are a uniform grid, as time_grid makes them, so every
 stretch's samples are a ladder, and so are the comb's detunings; `_trace`
 states both ladders to `_phase_sum`. On a free stretch the comb sum is then a
@@ -90,9 +97,10 @@ class EnsembleSpec:
 
 
 def _grid(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Detunings of the comb and their Gaussian weights, normalized to sum 1."""
-    half = spec.span * spec.sigma
-    deltas = np.linspace(-half, half, spec.n_atoms)
+    """Detunings m d of the comb, |m| <= (n_atoms - 1)/2, and their Gaussian
+    weights, normalized to sum 1. Both are even in m bit for bit."""
+    mid = spec.n_atoms // 2
+    deltas = np.arange(-mid, mid + 1) * (spec.span * spec.sigma / mid)
     weights = np.exp(-(deltas**2) / (2.0 * spec.sigma**2))
     weights /= weights.sum()
     return deltas, weights
@@ -106,6 +114,8 @@ def time_grid(t_end: float, dt: float) -> np.ndarray:
     """
     if not (math.isfinite(dt) and math.isfinite(t_end)) or dt <= 0 or t_end < 0:
         raise ValueError("need finite dt > 0 and t_end >= 0")
+    if not math.isfinite(t_end / dt):
+        raise ValueError(f"need finite t_end / dt, got {t_end:g} / {dt:g}")
     n = max(1, round(t_end / dt))
     return np.linspace(0.0, n * dt, n + 1)
 
@@ -308,7 +318,8 @@ def trace_bytes(n_atoms: float, n_t: float, pulse_samples: float) -> float:
     and q = 5 columns, plus the coefficients, inside a square pulse, where the
     walk also holds each atom's eigenvectors, beats and weighted state (1 kB
     per atom covers them). All in floats, so a grid of 1e300 samples is
-    simply too large.
+    simply too large. The walk takes only the (n_atoms + 1)/2 detunings >= 0
+    (`_trace`), so counting the whole comb keeps the estimate an upper bound.
     """
 
     def phase_sum(n: float, f: float, q: int) -> float:
@@ -338,34 +349,44 @@ _BEAT_K, _BEAT_L = np.array([0, 0, 1]), np.array([1, 2, 2])
 
 
 def _trace(
-    seq: PulseSequence,
-    deltas: np.ndarray,
-    delta_s: np.ndarray,
-    weights: np.ndarray,
-    times: np.ndarray,
+    seq: PulseSequence, deltas: np.ndarray, weights: np.ndarray, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted comb sums of P(t) and the mean populations along the exact walk.
+    """Weighted comb sums of P(t) and the mean populations, by the comb's
+    mirror, along the exact walk of its detunings >= 0.
+
+    deltas and weights are the whole comb, as _grid makes it: symmetric about
+    0 with even weights. The couplings are real and delta_s = 0, so with
+    Z = diag(1, -1, 1) every stretch's Hamiltonian has Z conj(H(d)) Z =
+    -H(-d), and the atom at -d, started in |1> as the one at d, holds
+    Z conj(rho(d)) Z for hard and square pulses alike: rho12(-d) =
+    -conj(rho12(d)) and the populations are even in d. So the walk takes the
+    half comb m d, m >= 0, with the centre at half weight; its sums S give
+    P = 2i Im S, with a real part of +0.0, and pops = 2 S_pops. Only Im S is
+    kept.
 
     Each stretch's samples are a ladder t0 + k h, as times is a uniform grid,
-    and so is the comb. On a free stretch rho12 advances at +delta; a stretch
-    where it is zero for every atom gives P = +0.0 without a sum. Inside a
-    square pulse the mean
+    and so is the half comb. On a free stretch rho12 advances at +delta; a
+    stretch where it is zero for every atom gives S = +0.0 without a sum.
+    Inside a square pulse the mean
     rho_xy(tau) = sum_n w_n sum_kl v_xk v_yl r_kl exp(-i beat_kl tau). Its
     diagonal beats are zero, so their terms are one constant per output; and
     beat_lk = -beat_kl, so the (l, k) term is the conjugate of a sum at the
     (k, l) beat. The populations are real, so for them that conjugate is the
-    (k, l) sum itself: the comb sum runs over the 3 n_atoms beats k < l with
-    5 columns, c_kl for the four outputs (x, y) an echo run reads and
+    (k, l) sum itself: the comb sum runs over the 3 beats k < l of each atom
+    with 5 columns, c_kl for the four outputs (x, y) an echo run reads and
     conj(c_lk) for P, and each population is its constant plus 2 Re S_kl.
     """
+    mid = deltas.size // 2
+    deltas, weights = deltas[mid:], weights[mid:].copy()
+    weights[0] *= 0.5
     ground = np.zeros((deltas.size, 3, 3), dtype=complex)
     ground[:, 0, 0] = 1.0
     diag = (np.arange(3), np.arange(3))
-    comb = (deltas[0], (deltas[-1] - deltas[0]) / (deltas.size - 1))
-    pol = np.empty(times.size, dtype=complex)
+    comb = (0.0, deltas[1])
+    im = np.empty(times.size)
     pops = np.empty((times.size, 3))
     idx = 0
-    for start, end, rho, pulse in stretches(seq, deltas, delta_s, ground):
+    for start, end, rho, pulse in stretches(seq, deltas, np.zeros(deltas.size), ground):
         j = int(np.searchsorted(times, end, side="left"))
         if j == idx:
             continue
@@ -374,7 +395,7 @@ def _trace(
         h = ((times[j - 1] - start) - t0) / max(n - 1, 1)
         if pulse is None:
             coef = weights * rho[:, 0, 1]
-            pol[idx:j] = _phase_sum(t0, h, n, deltas, coef[:, None], comb)[:, 0] if coef.any() else 0.0
+            im[idx:j] = _phase_sum(t0, h, n, deltas, coef[:, None], comb)[:, 0].imag if coef.any() else 0.0
             pops[idx:j] = weights @ rho[:, diag[0], diag[1]].real
         else:
             v, beat = pulse
@@ -385,11 +406,13 @@ def _trace(
             coef[:, :, :4] = (vx[:, :, k] * vy[:, :, l] * wr[:, None, k, l]).swapaxes(1, 2)
             coef[:, :, 4] = np.conj(vx[:, 0, l] * vy[:, 0, k] * wr[:, l, k])
             const = np.einsum("nok,nok,nk->o", vx, vy, wr[:, diag[0], diag[1]])
-            s = _phase_sum(t0, h, n, -beat[:, k, l].ravel(), coef.reshape(-1, 5))
-            pol[idx:j] = s[:, 0] + s[:, 4].conj() + const[0]
-            pops[idx:j] = 2.0 * s[:, 1:4].real + const[1:].real
+            sums = _phase_sum(t0, h, n, -beat[:, k, l].ravel(), coef.reshape(-1, 5))
+            im[idx:j] = sums[:, 0].imag - sums[:, 4].imag + const[0].imag
+            pops[idx:j] = 2.0 * sums[:, 1:4].real + const[1:].real
         idx = j
-    return pol, pops
+    pol = np.zeros(times.size, dtype=complex)
+    pol.imag = 2.0 * im
+    return pol, 2.0 * pops
 
 
 def simulate_ensemble(
@@ -426,9 +449,7 @@ def simulate_ensemble(
         raise ValueError(f"unknown engine {engine!r}")
     inside = [np.searchsorted(times, (p.t_start, p.t_end)) for p in seq.pulses]
     check_trace_budget(spec.n_atoms, times.size, max((j - i for i, j in inside), default=0))
-    deltas, weights = _grid(spec)
-    delta_s = np.zeros_like(deltas)
-    pol, pops = _trace(seq, deltas, delta_s, weights, times)
+    pol, pops = _trace(seq, *_grid(spec), times)
     return EnsembleTrace(
         times=times,
         polarization=pol,

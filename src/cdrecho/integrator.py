@@ -14,7 +14,9 @@ right-hand side to the nine unit matrices. One classical RK4 step of length
 h is then exactly the step polynomial T(hL) = 1 + hL + (hL)^2/2 + (hL)^3/6 +
 (hL)^4/24 (the same method and O(h^4) error, not the exact exponential), and
 integrate_sequence advances from one output sample to the next by a single
-matrix power of T. rk4_step keeps the textbook one-step form as the
+matrix power of T. T is held as E = T - 1, and T^k as T^k - 1, so rounding
+stays relative to the step's own change rather than to 1 and does not pile
+up over thousands of steps. rk4_step keeps the textbook one-step form as the
 reference the step matrices are tested against.
 """
 
@@ -106,15 +108,31 @@ def _hermitian_checked(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _step_matrix(drive: DriveSample, atom: AtomParams, h: float) -> np.ndarray:
-    """T(hL) = 1 + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24: one RK4 step of the
-    constant-drive generator L acting on the row-major vec(rho)."""
+def _step_minus_one(drive: DriveSample, atom: AtomParams, h: float) -> np.ndarray:
+    """E = T(hL) - 1 = hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24 for one RK4 step
+    T of the constant-drive generator L acting on the row-major vec(rho).
+
+    E is kept apart from the identity, so its entries round relative to
+    their own size, not to 1."""
     units = np.eye(9, dtype=complex).reshape(9, 3, 3)
     x = h * _rhs_elements(units, drive, atom).reshape(9, 9).T
-    step = np.eye(9, dtype=complex)
+    e = np.zeros((9, 9), dtype=complex)
     for k in (4, 3, 2, 1):
-        step = np.eye(9) + (x @ step) / k
-    return step
+        e = (x + x @ e) / k
+    return e
+
+
+def _power_minus_one(e: np.ndarray, k: int) -> np.ndarray:
+    """T^k - 1 for T = 1 + e and k >= 1, by binary powers of T, each held as
+    its difference from 1: (1 + a)(1 + b) - 1 = a + b + a b."""
+    out = None
+    while True:
+        if k & 1:
+            out = e if out is None else out + e + out @ e
+        k >>= 1
+        if not k:
+            return out
+        e = 2.0 * e + e @ e
 
 
 def _segments(seq: PulseSequence) -> list[tuple[float, float, DriveSample]]:
@@ -153,10 +171,11 @@ def integrate_sequence(
     sample_stride steps plus all segment edges; starts with (0, rho0).
 
     Each segment takes its RK4 step matrix once and reaches each emitted
-    sample by one matrix power of it. Every emitted state is re-symmetrized
-    to Hermitian and checked for non-finite entries, which raise
-    FloatingPointError; an overflow between two samples cannot turn finite
-    again under the matrix products, so it is caught at the next sample.
+    sample by one matrix power of it, applied as rho + (T^k - 1) rho. Every
+    emitted state is re-symmetrized to Hermitian and checked for non-finite
+    entries, which raise FloatingPointError; an overflow between two samples
+    cannot turn finite again under the matrix products, so it is caught at
+    the next sample.
     """
     if dt <= 0 or not math.isfinite(dt):
         raise ValueError("dt must be positive and finite")
@@ -181,14 +200,15 @@ def integrate_sequence(
             continue
         n = max(1, math.ceil(span / dt - 1e-9))
         h = span / n
-        step = _step_matrix(drive, atom, h)
+        step = _step_minus_one(drive, atom, h)
         stride = min(sample_stride, n)
-        by_stride = np.linalg.matrix_power(step, stride)
+        by_stride = _power_minus_one(step, stride)
         ends = [*range(stride, n, stride), n]
         for start, end in zip([0, *ends], ends):
             k = end - start
-            power = by_stride if k == stride else np.linalg.matrix_power(step, k)
-            rho = _hermitian_checked((power @ rho.reshape(9)).reshape(3, 3))
+            power = by_stride if k == stride else _power_minus_one(step, k)
+            vec = rho.reshape(9)
+            rho = _hermitian_checked((vec + power @ vec).reshape(3, 3))
             # land exactly on the segment edge despite float accumulation
             out.append((b if end == n else a + end * h, DensityMatrix(rho)))
     return out

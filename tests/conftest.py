@@ -6,7 +6,7 @@ A route maps (seq, spec, times) to (P, pops): the comb's polarization and its
 `simulate_ensemble`. The per-atom routes run `run_sequence_hard`, `eigh`
 exponentials or RK4 on each atom of the comb and sum the states with the
 comb's weights; every per-atom state that `run_sequence_hard` or RK4 returns
-passes `validate`.
+passes `validate`. `hard_states` and `eigh_states` give one atom's states.
 """
 
 import math
@@ -32,7 +32,7 @@ from cdrecho import (
 )
 from cdrecho.ensemble import _grid
 
-settings.register_profile("cdrecho", deadline=None)
+settings.register_profile("cdrecho", deadline=None, print_blob=True)
 settings.load_profile("cdrecho")
 
 PI = math.pi
@@ -112,50 +112,50 @@ def comb_route(seq, spec, times):
     )
 
 
+def hard_states(seq, delta, times):
+    """One atom's (n_t, 3, 3) states at times from run_sequence_hard; a sample
+    at a pulse instant reads the state after every pulse at that instant."""
+    out = run_sequence_hard(ground_state(), seq, AtomParams(delta=delta), times)
+    states = dict(zip([t for t, _ in out], _checked(out)))
+    return np.array([states[t] for t in times.tolist()])
+
+
+def eigh_states(seq, delta, times):
+    """One atom's (n_t, 3, 3) states at times, each piece's propagator
+    v exp(-i w tau) v^T from np.linalg.eigh of its 3x3 Hamiltonian:
+    diag(0, delta, 0), plus Omega K inside a square pulse, where K couples the
+    channel's levels by -1/2; a hard pulse is area K over unit time."""
+    free = np.diag([0.0, delta, 0.0])
+    pieces, now = [], 0.0  # (start, end, h, span of the whole piece)
+    for p in seq.pulses:
+        a, b = (0, 1) if p.channel is Channel.OPTICAL12 else (1, 2)
+        k = np.zeros((3, 3))
+        k[a, b] = k[b, a] = -0.5
+        pieces.append((now, p.t_start, free, p.t_start - now))
+        if p.is_hard:
+            pieces.append((p.t_start, p.t_start, p.area * k, 1.0))
+        else:
+            pieces.append((p.t_start, p.t_end, free + p.rabi_frequency * k, p.duration))
+        now = p.t_end
+    pieces.append((now, np.inf, free, 0.0))
+    rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    states = np.empty((times.size, 3, 3), dtype=complex)
+    for start, end, h, span in pieces:
+        w, v = np.linalg.eigh(h)
+        inside = (times >= start) & (times < end)
+        tau = np.append(times[inside] - start, span)
+        u = (v * np.exp(-1j * np.multiply.outer(tau, w))[:, None, :]) @ v.T
+        got = u @ rho @ u.conj().swapaxes(1, 2)
+        states[inside], rho = got[:-1], got[-1]
+    return states
+
+
 def hard_route(seq, spec, times):
-    """run_sequence_hard per atom; a sample at a pulse instant reads the state
-    after every pulse at that instant."""
-
-    def run_atom(delta):
-        out = run_sequence_hard(ground_state(), seq, AtomParams(delta=delta), times)
-        states = dict(zip([t for t, _ in out], _checked(out)))
-        return np.array([states[t] for t in times.tolist()])
-
-    return _weighted(spec, times, run_atom)
+    return _weighted(spec, times, lambda delta: hard_states(seq, delta, times))
 
 
 def eigh_route(seq, spec, times):
-    """Per atom, each piece's propagator v exp(-i w tau) v^T from np.linalg.eigh
-    of its 3x3 Hamiltonian: diag(0, delta, 0), plus Omega K inside a square
-    pulse, where K couples the channel's levels by -1/2; a hard pulse is
-    area K over unit time."""
-
-    def run_atom(delta):
-        free = np.diag([0.0, delta, 0.0])
-        pieces, now = [], 0.0  # (start, end, h, span of the whole piece)
-        for p in seq.pulses:
-            a, b = (0, 1) if p.channel is Channel.OPTICAL12 else (1, 2)
-            k = np.zeros((3, 3))
-            k[a, b] = k[b, a] = -0.5
-            pieces.append((now, p.t_start, free, p.t_start - now))
-            if p.is_hard:
-                pieces.append((p.t_start, p.t_start, p.area * k, 1.0))
-            else:
-                pieces.append((p.t_start, p.t_end, free + p.rabi_frequency * k, p.duration))
-            now = p.t_end
-        pieces.append((now, np.inf, free, 0.0))
-        rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        states = np.empty((times.size, 3, 3), dtype=complex)
-        for start, end, h, span in pieces:
-            w, v = np.linalg.eigh(h)
-            inside = (times >= start) & (times < end)
-            tau = np.append(times[inside] - start, span)
-            u = (v * np.exp(-1j * np.multiply.outer(tau, w))[:, None, :]) @ v.T
-            got = u @ rho @ u.conj().swapaxes(1, 2)
-            states[inside], rho = got[:-1], got[-1]
-        return states
-
-    return _weighted(spec, times, run_atom)
+    return _weighted(spec, times, lambda delta: eigh_states(seq, delta, times))
 
 
 # RK4 steps per sample: on drawn on-grid square sequences RK4 then stays

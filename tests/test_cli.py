@@ -201,6 +201,16 @@ class TestEcho:
         assert lines[1] == "t_us,re_p,im_p,abs_p,rho11,rho22,rho33"
         assert len(lines) == 2 + 9001
 
+    def test_dr_trace_writes_re_p_as_zero(self, tmp_path, capsys):
+        # P is exactly imaginary for real couplings, so every re_p cell is one text
+        trace_path = tmp_path / "trace.csv"
+        seq = str(ROOT / "sequences" / "dr.json")
+        assert cli_main(["echo", "--seq", seq, "--out", str(trace_path)]) == 0
+        capsys.readouterr()
+        rows = trace_path.read_text().splitlines()[2:]
+        assert len(rows) == 9001
+        assert {row.split(",")[1] for row in rows} == {"0"}
+
     def test_non_ascii_sequence_name_is_escaped_in_the_trace(self, tmp_path, capsys):
         seq = tmp_path / "donn\u00e9es.json"
         seq.write_bytes((ROOT / "sequences" / "dr.json").read_bytes())

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import check_route_pairs, rk4_route, sequences
+from conftest import check_route_pairs, eigh_states, hard_states, rk4_route, sequences
 
 from cdrecho import (
     AtomParams,
@@ -226,6 +226,10 @@ class TestTimeGrid:
             time_grid(-1.0, 0.1)
         for t_end, dt in [(1.0, math.inf), (math.inf, 1e-6), (math.nan, 1e-6), (1.0, math.nan)]:
             with pytest.raises(ValueError, match="need finite"):
+                time_grid(t_end, dt)
+        # finite inputs whose ratio overflows are refused before any array exists
+        for t_end, dt in [(1e300, 1e-300), (1e308, 1e-10)]:
+            with pytest.raises(ValueError, match="need finite t_end / dt"):
                 time_grid(t_end, dt)
 
 
@@ -530,6 +534,32 @@ class TestProtocolEchoes:
     def test_real_part_stays_zero(self):
         pol = simulate_ensemble(cdr_seq(), self.SPEC, self.TIMES).polarization
         assert np.max(np.abs(pol.real)) <= 1e-12
+
+
+class TestMirror:
+    """The premise of the comb walk's half sum: with real couplings, delta_s = 0
+    and a start in |1>, the atom at -delta holds Z conj(rho(delta)) Z."""
+
+    Z = np.diag([1.0, -1.0, 1.0])
+
+    @settings(max_examples=25)
+    @pytest.mark.parametrize(
+        "kind, run", [("hard", hard_states), ("square", eigh_states)], ids=["hard", "square"]
+    )
+    @given(data=st.data(), delta=st.floats(0.0, 2 * PI * 5e6))
+    def test_opposite_detunings_are_mirror_images(self, kind, run, data, delta):
+        seq, times = data.draw(sequences(kind))
+        plus, minus = run(seq, delta, times), run(seq, -delta, times)
+        assert np.max(np.abs(minus - self.Z @ plus.conj() @ self.Z)) <= 1e-12
+
+    @settings(max_examples=25)
+    @pytest.mark.parametrize("kind", ["hard", "square"])
+    @given(data=st.data(), n_atoms=st.sampled_from([3, 9, 31]))
+    def test_real_part_is_positive_zero(self, kind, data, n_atoms):
+        seq, times = data.draw(sequences(kind))
+        engine = "hard" if kind == "hard" else "ode"
+        pol = simulate_ensemble(seq, EnsembleSpec(n_atoms=n_atoms), times, engine).polarization
+        assert np.all(pol.real == 0.0) and not np.any(np.signbit(pol.real))
 
 
 class TestPredictEchoTimes:

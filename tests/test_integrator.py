@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_valid_state, sequences
@@ -304,6 +304,26 @@ class TestStepMatrix:
         delta_s=st.floats(min_value=-2 * PI * 5e6, max_value=2 * PI * 5e6),
         gamma=st.tuples(*[st.floats(min_value=1e3, max_value=1e6)] * 3),
         stride=st.integers(min_value=1, max_value=60),
+    )
+    # 1400 steps of 5 ns: a step matrix stored as 1 + E, each entry rounded
+    # relative to 1, ended 1.0e-13 off a long-double run of the same RK4 map
+    # here, where the rk4_step loop is 1.0e-15 off and E kept apart 1.7e-15
+    @example(
+        case=(
+            PulseSequence(
+                (
+                    Pulse(Channel.OPTICAL12, 2.0, 0.0, 2.3e-6),
+                    Pulse(Channel.OPTICAL12, 6.03125, 2.3e-6, 2.2e-6),
+                    Pulse(Channel.OPTICAL12, 0.5, 4.5e-6, 0.5e-6),
+                ),
+                t_end=7e-6,
+            ),
+            None,
+        ),
+        delta=4558456.0,
+        delta_s=0.0,
+        gamma=(1023.0, 322334.5, 1000.0),
+        stride=2,
     )
     def test_matches_rk4_step_loop(self, case, delta, delta_s, gamma, stride):
         seq, _ = case
