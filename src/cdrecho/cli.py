@@ -90,8 +90,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_stages(args) -> int:
+    # build the chain first, so a refused area prints no header
+    chain = stage_chain(_areas_from(args))
     print(",".join(("stage", *COLUMNS)))
-    for label, state in stage_chain(_areas_from(args)):
+    for label, state in chain:
         print(label + "," + ",".join(f"{v:+.9f}" for v in observables(state.elements)))
     return 0
 

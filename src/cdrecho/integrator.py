@@ -45,10 +45,13 @@ class DriveSample:
             raise ValueError("drive amplitudes must be finite")
 
 
-def _rhs_elements(rho: np.ndarray, drive: DriveSample, atom: AtomParams) -> np.ndarray:
-    """Elementwise master-equation derivative; broadcasts over leading axes."""
-    oj = 0.5j * drive.omega_j
-    ok = 0.5j * drive.omega_k
+def _rhs_elements(rho: np.ndarray, omega_j, omega_k, atom: AtomParams) -> np.ndarray:
+    """Elementwise master-equation derivative; broadcasts over leading axes.
+
+    The Rabi frequencies omega_j and omega_k (rad/s) are scalars or arrays
+    shaped like rho's leading axes, one drive per state."""
+    oj = 0.5j * omega_j
+    ok = 0.5j * omega_k
     d = atom.delta
     ds = atom.delta_s
     g1, g2, g3 = atom.gamma
@@ -82,7 +85,7 @@ def _rhs_elements(rho: np.ndarray, drive: DriveSample, atom: AtomParams) -> np.n
 
 def rhs(rho: DensityMatrix, drive: DriveSample, atom: AtomParams) -> np.ndarray:
     """d(rho)/dt for the given instantaneous drive and atom parameters."""
-    return _rhs_elements(rho.elements, drive, atom)
+    return _rhs_elements(rho.elements, drive.omega_j, drive.omega_k, atom)
 
 
 def rk4_step(
@@ -92,18 +95,19 @@ def rk4_step(
     if dt <= 0 or not math.isfinite(dt):
         raise ValueError("dt must be positive and finite")
     r = rho.elements
-    k1 = _rhs_elements(r, drive, atom)
-    k2 = _rhs_elements(r + 0.5 * dt * k1, drive, atom)
-    k3 = _rhs_elements(r + 0.5 * dt * k2, drive, atom)
-    k4 = _rhs_elements(r + dt * k3, drive, atom)
+    oj, ok = drive.omega_j, drive.omega_k
+    k1 = _rhs_elements(r, oj, ok, atom)
+    k2 = _rhs_elements(r + 0.5 * dt * k1, oj, ok, atom)
+    k3 = _rhs_elements(r + 0.5 * dt * k2, oj, ok, atom)
+    k4 = _rhs_elements(r + dt * k3, oj, ok, atom)
     nxt = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return DensityMatrix(_hermitian_checked(nxt))
 
 
 def _hermitian_checked(rho: np.ndarray) -> np.ndarray:
     # re-symmetrize to stop roundoff from drifting rho off Hermitian
-    rho = 0.5 * (rho + np.conj(np.swapaxes(rho, -1, -2)))
-    if not np.all(np.isfinite(rho.view(float))):
+    rho = 0.5 * (rho + rho.conj().T)
+    if not np.isfinite(rho).all():
         raise FloatingPointError("integration produced non-finite state")
     return rho
 
@@ -115,7 +119,7 @@ def _step_minus_one(drive: DriveSample, atom: AtomParams, h: float) -> np.ndarra
     E is kept apart from the identity, so its entries round relative to
     their own size, not to 1."""
     units = np.eye(9, dtype=complex).reshape(9, 3, 3)
-    x = h * _rhs_elements(units, drive, atom).reshape(9, 9).T
+    x = h * _rhs_elements(units, drive.omega_j, drive.omega_k, atom).reshape(9, 9).T
     e = np.zeros((9, 9), dtype=complex)
     for k in (4, 3, 2, 1):
         e = (x + x @ e) / k

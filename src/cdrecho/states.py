@@ -43,7 +43,7 @@ def _as_state_array(elements) -> np.ndarray:
     arr = np.asarray(elements, dtype=complex)
     if arr.shape != (3, 3):
         raise ValueError(f"density matrix must be 3x3, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.isfinite(arr).all():
         raise ValueError("density matrix contains non-finite entries")
     arr = arr.copy()
     arr.setflags(write=False)

@@ -3,6 +3,8 @@
 import argparse
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -169,6 +171,14 @@ class TestStages:
         r2_im = float(lines[5].split(",")[1])
         assert d_im == pytest.approx(-0.154508497, abs=1e-9)
         assert r2_im == pytest.approx(+0.154508497, abs=1e-9)
+
+    @pytest.mark.parametrize("phid", ["nan", "1e308"])
+    def test_refused_area_prints_no_header(self, phid, capsys):
+        # 1e308 pi overflows to inf; the table must not start before the refusal
+        assert cli_main(["stages", "--phid", phid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: phi_d must be finite\n"
 
 
 class TestEcho:
@@ -403,6 +413,25 @@ class TestPropagate:
 
 
 class TestVerify:
+    def test_runs_as_a_module_from_the_source_tree(self):
+        # a fresh interpreter with only src/ on its path, as from a checkout
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "cdrecho", "verify"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == [
+            "PASS weak-data-chain",
+            "PASS half-pi-chain",
+            "PASS control-recovery",
+            "PASS engine-agreement",
+            "PASS rate-equations-vs-commutator",
+            "PASS area-propagation",
+        ]
+        assert lines[-1] == "all 6 checks passed"
+
     def test_all_checks_pass(self, capsys):
         assert cli_main(["verify"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

@@ -22,7 +22,7 @@ from cdrecho import (
     rhs,
     run_sequence_hard,
 )
-from cdrecho.integrator import _segments, rk4_step
+from cdrecho.integrator import _rhs_elements, _segments, rk4_step
 
 PI = math.pi
 
@@ -84,18 +84,25 @@ class TestRhs:
         assert d[1, 1].real == pytest.approx(-20.0 * 0.5, abs=1e-12)
         assert d[2, 2].real == pytest.approx(-30.0 * 0.3, abs=1e-12)
 
-    def test_broadcasts_over_leading_axis(self):
-        rng = np.random.default_rng(45)
-        states = np.stack([random_valid_state(rng).elements for _ in range(4)])
-        drive = DriveSample(1e6, 2e6)
-        atom = AtomParams(delta=3e5, delta_s=1e5)
-        from cdrecho.integrator import _rhs_elements
-
-        batch = _rhs_elements(states, drive, atom)
-        for i in range(4):
-            np.testing.assert_allclose(
-                batch[i], _rhs_elements(states[i], drive, atom), atol=0
-            )
+    @given(
+        cases=st.lists(
+            st.tuples(st.integers(0, 2**32 - 1), st.floats(-1e7, 1e7), st.floats(-1e7, 1e7)),
+            min_size=1,
+            max_size=8,
+        ),
+        delta=st.floats(-1e7, 1e7),
+        delta_s=st.floats(-1e7, 1e7),
+        gamma=st.tuples(*[st.floats(0.0, 1e5)] * 3),
+    )
+    def test_broadcasts_over_leading_axis(self, cases, delta, delta_s, gamma):
+        # a state seed and its own drive pair per case; the batch must be
+        # the per-state rhs bit for bit
+        states = [random_valid_state(np.random.default_rng(seed)) for seed, _, _ in cases]
+        omega_j, omega_k = np.array([drive for _, *drive in cases]).T
+        atom = AtomParams(delta=delta, delta_s=delta_s, gamma=gamma)
+        batch = _rhs_elements(np.stack([r.elements for r in states]), omega_j, omega_k, atom)
+        for got, rho, (_, oj, ok) in zip(batch, states, cases):
+            np.testing.assert_array_equal(got, rhs(rho, DriveSample(oj, ok), atom))
 
 
 class TestRk4Step:
