@@ -18,7 +18,7 @@ from .ensemble import (
     simulate_ensemble,
     time_grid,
 )
-from .integrator import DriveSample, integrate_sequence, rhs
+from .integrator import DriveSample, integrate_sequence
 from .seqfile import SequenceFileError, parse_sequence_file
 from .stages import (
     StageAreas,
@@ -38,8 +38,6 @@ from .states import (
     PulseSequence,
     ground_state,
     max_element_distance,
-    purity,
-    validate,
 )
 from .sweeps import FigureId, SweepSpec, figure_dataset, run_sweep
 from .unitary import pulse_unitary, run_sequence_hard
@@ -78,14 +76,11 @@ __all__ = [
     "predict_echo_times",
     "propagate_area",
     "pulse_unitary",
-    "purity",
     "render_csv",
-    "rhs",
     "run_sequence_hard",
     "run_sweep",
     "simulate_ensemble",
     "stage_chain",
     "time_grid",
-    "validate",
     "write_csv",
 ]

@@ -16,8 +16,7 @@ h is then exactly the step polynomial T(hL) = 1 + hL + (hL)^2/2 + (hL)^3/6 +
 integrate_sequence advances from one output sample to the next by a single
 matrix power of T. T is held as E = T - 1, and T^k as T^k - 1, so rounding
 stays relative to the step's own change rather than to 1 and does not pile
-up over thousands of steps. rk4_step keeps the textbook one-step form as the
-reference the step matrices are tested against.
+up over thousands of steps.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 
 from .states import AtomParams, Channel, DensityMatrix, PulseSequence
 
-__all__ = ["DriveSample", "rhs", "integrate_sequence"]
+__all__ = ["DriveSample", "integrate_sequence"]
 
 
 @dataclass(frozen=True)
@@ -81,27 +80,6 @@ def _rhs_elements(rho: np.ndarray, omega_j, omega_k, atom: AtomParams) -> np.nda
         ok * (r22 - r33) - oj * r31 - 1j * (ds - d) * r32 - 0.5 * (g2 + g3) * r32
     )
     return out
-
-
-def rhs(rho: DensityMatrix, drive: DriveSample, atom: AtomParams) -> np.ndarray:
-    """d(rho)/dt for the given instantaneous drive and atom parameters."""
-    return _rhs_elements(rho.elements, drive.omega_j, drive.omega_k, atom)
-
-
-def rk4_step(
-    rho: DensityMatrix, dt: float, drive: DriveSample, atom: AtomParams
-) -> DensityMatrix:
-    """One classical RK4 step of length dt under a constant drive."""
-    if dt <= 0 or not math.isfinite(dt):
-        raise ValueError("dt must be positive and finite")
-    r = rho.elements
-    oj, ok = drive.omega_j, drive.omega_k
-    k1 = _rhs_elements(r, oj, ok, atom)
-    k2 = _rhs_elements(r + 0.5 * dt * k1, oj, ok, atom)
-    k3 = _rhs_elements(r + 0.5 * dt * k2, oj, ok, atom)
-    k4 = _rhs_elements(r + dt * k3, oj, ok, atom)
-    nxt = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return DensityMatrix(_hermitian_checked(nxt))
 
 
 def _hermitian_checked(rho: np.ndarray) -> np.ndarray:
@@ -166,13 +144,14 @@ def integrate_sequence(
     atom: AtomParams,
     dt: float,
     sample_stride: int = 1,
-) -> list[tuple[float, DensityMatrix]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Integrate a finite-duration pulse sequence over [0, t_end].
 
     Requires every pulse duration > 0 and dt no coarser than a hundredth of
     the shortest pulse. Segment lengths are divided into whole steps, so the
-    trajectory lands exactly on every pulse edge. Emits (t, state) every
-    sample_stride steps plus all segment edges; starts with (0, rho0).
+    trajectory lands exactly on every pulse edge. Returns (times, states):
+    the (n,) sample times and the read-only (n, 3, 3) states, one every
+    sample_stride steps plus all segment edges, starting with (0, rho0).
 
     Each segment takes its RK4 step matrix once and reaches each emitted
     sample by one matrix power of it, applied as rho + (T^k - 1) rho. Every
@@ -197,7 +176,7 @@ def integrate_sequence(
         )
 
     rho = rho0.elements
-    out: list[tuple[float, DensityMatrix]] = [(0.0, rho0)]
+    times, states = [0.0], [rho]
     for a, b, drive in _segments(seq):
         span = b - a
         if span <= 0:
@@ -214,5 +193,8 @@ def integrate_sequence(
             vec = rho.reshape(9)
             rho = _hermitian_checked((vec + power @ vec).reshape(3, 3))
             # land exactly on the segment edge despite float accumulation
-            out.append((b if end == n else a + end * h, DensityMatrix(rho)))
-    return out
+            times.append(b if end == n else a + end * h)
+            states.append(rho)
+    states = np.stack(states)
+    states.setflags(write=False)
+    return np.array(times), states

@@ -19,17 +19,9 @@ __all__ = [
     "PulseSequence",
     "PulseOverlapError",
     "AtomParams",
-    "ValidationReport",
-    "Violation",
     "ground_state",
-    "validate",
     "max_element_distance",
-    "purity",
 ]
-
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-10
-EIGENVALUE_TOL = 1e-9
 
 
 class Channel(enum.Enum):
@@ -87,54 +79,6 @@ def ground_state() -> DensityMatrix:
 def max_element_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Largest elementwise absolute difference between two states."""
     return float(np.abs(a.elements - b.elements).max())
-
-
-def purity(rho: DensityMatrix) -> float:
-    """tr(rho^2); 1 for pure states, >= 1/3 for any valid 3-level state."""
-    m = rho.elements
-    return float((m @ m).trace().real)
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One failed physicality check and how badly it failed."""
-
-    name: str
-    magnitude: float
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[Violation, ...] = ()
-
-    def magnitude(self, name: str) -> float:
-        for v in self.violations:
-            if v.name == name:
-                return v.magnitude
-        return 0.0
-
-
-def validate(rho: DensityMatrix) -> ValidationReport:
-    """Check hermiticity, unit trace and positivity. Reports, never raises.
-
-    Tolerances: hermiticity 1e-12, trace 1e-10, smallest eigenvalue >= -1e-9.
-    """
-    m = rho.elements
-    violations = []
-    herm = float(np.abs(m - m.conj().T).max())
-    if herm > HERMITICITY_TOL:
-        violations.append(Violation("hermiticity", herm))
-    tr = float(abs(m.trace() - 1.0))
-    if tr > TRACE_TOL:
-        violations.append(Violation("trace", tr))
-    # eigvalsh needs a Hermitian input; symmetrize so a hermiticity breach
-    # does not poison the positivity check as well
-    sym = (m + m.conj().T) / 2.0
-    lam = float(np.linalg.eigvalsh(sym).min())
-    if lam < -EIGENVALUE_TOL:
-        violations.append(Violation("positivity", -lam))
-    return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
 @dataclass(frozen=True)

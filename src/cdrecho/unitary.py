@@ -144,11 +144,12 @@ def run_sequence_hard(
     seq: PulseSequence,
     atom: AtomParams,
     sample_times: Iterable[float] = (),
-) -> list[tuple[float, DensityMatrix]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Evolve rho0 through a hard-pulse sequence starting at t = 0.
 
-    Emits (time, state) at every requested sample time and at every pulse
-    instant; the entry at a pulse instant is the post-pulse state, and a
+    Returns (times, states): the (n,) times and the read-only (n, 3, 3)
+    states at every requested sample time and at every pulse instant, in
+    time order; the entry at a pulse instant is the post-pulse state, and a
     sample landing exactly on a pulse instant is merged into that entry.
     The atom runs as a batch of one through `stretches`. Decay is ignored
     here; use the integrator for damped dynamics.
@@ -164,15 +165,19 @@ def run_sequence_hard(
         raise ValueError("sample times must be >= 0")
 
     lam = np.array([[0.0, atom.delta, atom.delta_s]])
-    out: list[tuple[float, DensityMatrix]] = []
+    times: list[np.ndarray] = []
+    states: list[np.ndarray] = []
     idx = 0
     walk = stretches(seq, lam[:, 1], lam[:, 2], rho0.elements[None])
     for k, (start, end, rho, _) in enumerate(walk):
         if k:  # every stretch after the first opens at a pulse instant
-            out.append((start, DensityMatrix(rho[0])))
+            times.append(np.array([start]))
+            states.append(rho)
             idx = int(np.searchsorted(samples, start, side="right"))
         j = int(np.searchsorted(samples, end, side="left"))
-        states = _free_rotation(rho, lam, samples[idx:j, None] - start)
-        out += zip(samples[idx:j].tolist(), map(DensityMatrix, states))
+        times.append(samples[idx:j])
+        states.append(_free_rotation(rho, lam, samples[idx:j, None] - start))
         idx = j
-    return out
+    out = np.concatenate(states)
+    out.setflags(write=False)
+    return np.concatenate(times), out

@@ -1,15 +1,18 @@
 """The hypothesis profile, the one strategy for pulse sequences, the one random
-valid state, and the table of routes to an echo run's observables.
+valid state, the table of routes to an echo run's observables, and the
+references that only tests call: `validate`, `purity`, `rhs` and `rk4_step`.
 
 A route maps (seq, spec, times) to (P, pops): the comb's polarization and its
 (n_t, 3) mean populations at the sample times. The comb walk is
 `simulate_ensemble`. The per-atom routes run `run_sequence_hard`, `eigh`
 exponentials or RK4 on each atom of the comb and sum the states with the
-comb's weights; every per-atom state that `run_sequence_hard` or RK4 returns
-passes `validate`. `hard_states` and `eigh_states` give one atom's states.
+comb's weights; every per-atom state stack that `run_sequence_hard` or RK4
+returns passes `validate`. `hard_states` and `eigh_states` give one atom's
+states.
 """
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, NamedTuple
 
@@ -21,6 +24,7 @@ from cdrecho import (
     AtomParams,
     Channel,
     DensityMatrix,
+    DriveSample,
     Pulse,
     PulseSequence,
     ground_state,
@@ -28,9 +32,9 @@ from cdrecho import (
     run_sequence_hard,
     simulate_ensemble,
     time_grid,
-    validate,
 )
 from cdrecho.ensemble import _grid
+from cdrecho.integrator import _hermitian_checked, _rhs_elements
 
 settings.register_profile("cdrecho", deadline=None, print_blob=True)
 settings.load_profile("cdrecho")
@@ -42,6 +46,80 @@ def random_valid_state(rng) -> DensityMatrix:
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     m = a @ a.conj().T
     return DensityMatrix(m / m.trace())
+
+
+HERMITICITY_TOL = 1e-12
+TRACE_TOL = 1e-10
+EIGENVALUE_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One failed physicality check and how badly it failed."""
+
+    name: str
+    magnitude: float
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    ok: bool
+    violations: tuple[Violation, ...] = ()
+
+    def magnitude(self, name: str) -> float:
+        for v in self.violations:
+            if v.name == name:
+                return v.magnitude
+        return 0.0
+
+
+def validate(states: np.ndarray) -> ValidationReport:
+    """Check hermiticity, unit trace and positivity of a (3, 3) state or an
+    (n, 3, 3) stack; reports the worst violation of each kind, never raises.
+
+    Tolerances: hermiticity 1e-12, trace 1e-10, smallest eigenvalue >= -1e-9.
+    """
+    m = np.reshape(states, (-1, 3, 3))
+    mh = m.conj().swapaxes(1, 2)
+    violations = []
+    herm = float(np.abs(m - mh).max())
+    if herm > HERMITICITY_TOL:
+        violations.append(Violation("hermiticity", herm))
+    tr = float(np.abs(np.trace(m, axis1=1, axis2=2) - 1.0).max())
+    if tr > TRACE_TOL:
+        violations.append(Violation("trace", tr))
+    # eigvalsh needs a Hermitian input; symmetrize so a hermiticity breach
+    # does not poison the positivity check as well
+    lam = float(np.linalg.eigvalsh((m + mh) / 2.0).min())
+    if lam < -EIGENVALUE_TOL:
+        violations.append(Violation("positivity", -lam))
+    return ValidationReport(ok=not violations, violations=tuple(violations))
+
+
+def purity(states: np.ndarray):
+    """tr(rho^2) of a (3, 3) state or of each state in an (n, 3, 3) stack; 1
+    for pure states, >= 1/3 for any valid 3-level state."""
+    return np.trace(states @ states, axis1=-2, axis2=-1).real
+
+
+def rhs(rho: DensityMatrix, drive: DriveSample, atom: AtomParams) -> np.ndarray:
+    """d(rho)/dt for the given instantaneous drive and atom parameters."""
+    return _rhs_elements(rho.elements, drive.omega_j, drive.omega_k, atom)
+
+
+def rk4_step(
+    rho: np.ndarray, dt: float, drive: DriveSample, atom: AtomParams
+) -> np.ndarray:
+    """One classical RK4 step of length dt under a constant drive: the
+    textbook one-step form the integrator's step matrices are tested against."""
+    if dt <= 0 or not math.isfinite(dt):
+        raise ValueError("dt must be positive and finite")
+    oj, ok = drive.omega_j, drive.omega_k
+    k1 = _rhs_elements(rho, oj, ok, atom)
+    k2 = _rhs_elements(rho + 0.5 * dt * k1, oj, ok, atom)
+    k3 = _rhs_elements(rho + 0.5 * dt * k2, oj, ok, atom)
+    k4 = _rhs_elements(rho + dt * k3, oj, ok, atom)
+    return _hermitian_checked(rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
 @st.composite
@@ -83,13 +161,11 @@ def sequences(draw, kind, on_grid=False):
     return PulseSequence(tuple(pulses), t_end=t_end), times
 
 
-def _checked(out) -> np.ndarray:
-    """The (n, 3, 3) states of a per-atom run's (t, DensityMatrix) list, once
-    each has passed validate."""
-    for _, rho in out:
-        report = validate(rho)
-        assert report.ok, report.violations
-    return np.array([rho.elements for _, rho in out]).reshape(-1, 3, 3)
+def _checked(states: np.ndarray) -> np.ndarray:
+    """A per-atom run's (n, 3, 3) states, once the stack has passed validate."""
+    report = validate(states)
+    assert report.ok, report.violations
+    return states
 
 
 def _weighted(spec, times, run_atom):
@@ -115,9 +191,10 @@ def comb_route(seq, spec, times):
 def hard_states(seq, delta, times):
     """One atom's (n_t, 3, 3) states at times from run_sequence_hard; a sample
     at a pulse instant reads the state after every pulse at that instant."""
-    out = run_sequence_hard(ground_state(), seq, AtomParams(delta=delta), times)
-    states = dict(zip([t for t, _ in out], _checked(out)))
-    return np.array([states[t] for t in times.tolist()])
+    t, states = run_sequence_hard(ground_state(), seq, AtomParams(delta=delta), times)
+    last = np.searchsorted(t, times, side="right") - 1
+    np.testing.assert_array_equal(t[last], times)
+    return _checked(states)[last]
 
 
 def eigh_states(seq, delta, times):
@@ -170,11 +247,11 @@ def rk4_route(seq, spec, times):
 
     def run_atom(delta):
         dt = (times[1] - times[0]) / RK4_STRIDE
-        out = integrate_sequence(
+        t, states = integrate_sequence(
             ground_state(), seq, AtomParams(delta=delta), dt, sample_stride=RK4_STRIDE
         )
-        np.testing.assert_allclose([t for t, _ in out], times, rtol=0, atol=1e-15)
-        return _checked(out)
+        np.testing.assert_allclose(t, times, rtol=0, atol=1e-15)
+        return _checked(states)
 
     return _weighted(spec, times, run_atom)
 

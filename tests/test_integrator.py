@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_valid_state, sequences
+from conftest import purity, random_valid_state, rhs, rk4_step, sequences
 
 from cdrecho import (
     AtomParams,
@@ -18,11 +18,9 @@ from cdrecho import (
     PulseSequence,
     ground_state,
     integrate_sequence,
-    max_element_distance,
-    rhs,
     run_sequence_hard,
 )
-from cdrecho.integrator import _rhs_elements, _segments, rk4_step
+from cdrecho.integrator import _rhs_elements, _segments
 
 PI = math.pi
 
@@ -111,17 +109,17 @@ class TestRk4Step:
         rng = np.random.default_rng(46)
         rho = random_valid_state(rng)
         dt = 1e-9
-        stepped = rho
+        stepped = rho.elements
         for _ in range(100):
             stepped = rk4_step(stepped, dt, DriveSample(), atom)
         free = PulseSequence(pulses=(), t_end=100 * dt)
-        exact = run_sequence_hard(rho, free, atom, [100 * dt])[-1][1]
-        assert max_element_distance(stepped, exact) <= 1e-13
+        exact = run_sequence_hard(rho, free, atom, [100 * dt])[1][-1]
+        assert np.abs(stepped - exact).max() <= 1e-13
 
     def test_fourth_order_convergence(self):
         atom = AtomParams(delta=2 * PI * 1e6)
         drive = DriveSample(omega_j=2 * PI * 1e6)
-        rho0 = ground_state()
+        rho0 = ground_state().elements
         span = 1e-6
 
         def err(n):
@@ -134,26 +132,26 @@ class TestRk4Step:
         coarse = err(40)
         fine = err(80)
         finest = err(160)
-        e1 = max_element_distance(coarse, finest)
-        e2 = max_element_distance(fine, finest)
+        e1 = np.abs(coarse - finest).max()
+        e2 = np.abs(fine - finest).max()
         # halving the step should shrink the error by about 2^4
         assert e1 / e2 > 8.0
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
-            rk4_step(ground_state(), 0.0, DriveSample(), AtomParams())
+            rk4_step(ground_state().elements, 0.0, DriveSample(), AtomParams())
         with pytest.raises(ValueError):
-            rk4_step(ground_state(), -1e-9, DriveSample(), AtomParams())
+            rk4_step(ground_state().elements, -1e-9, DriveSample(), AtomParams())
 
     def test_exponential_population_decay(self):
         excited = np.zeros((3, 3), complex)
         excited[1, 1] = 1.0
         atom = AtomParams(gamma=(0.0, 1e5, 0.0))
-        rho = DensityMatrix(excited)
+        rho = excited
         dt = 1e-8
         for _ in range(1000):
             rho = rk4_step(rho, dt, DriveSample(), atom)
-        assert rho.population(2) == pytest.approx(math.exp(-1e5 * 1e-5), rel=1e-9)
+        assert rho[1, 1].real == pytest.approx(math.exp(-1e5 * 1e-5), rel=1e-9)
 
 
 class TestIntegrateSequence:
@@ -163,28 +161,25 @@ class TestIntegrateSequence:
 
     def test_rabi_flop_reaches_inversion(self):
         seq = self._square_pulse_seq(PI, 1e-6)
-        out = integrate_sequence(ground_state(), seq, AtomParams(), dt=1e-9)
-        t_final, rho_final = out[-1]
-        assert t_final == pytest.approx(1e-6, abs=0)
-        assert rho_final.population(2) == pytest.approx(1.0, abs=1e-10)
+        times, states = integrate_sequence(ground_state(), seq, AtomParams(), dt=1e-9)
+        assert times[-1] == 1e-6
+        assert states[-1, 1, 1].real == pytest.approx(1.0, abs=1e-10)
 
     def test_resonant_flop_profile(self):
         # rho22 = sin^2(area_so_far / 2) all the way through the pulse
         duration = 2e-6
         seq = self._square_pulse_seq(2 * PI, duration)
-        out = integrate_sequence(ground_state(), seq, AtomParams(), dt=2e-9)
+        times, states = integrate_sequence(ground_state(), seq, AtomParams(), dt=2e-9)
         omega = 2 * PI / duration
-        for t, rho in out[:: len(out) // 17]:
-            assert rho.population(2) == pytest.approx(
-                math.sin(0.5 * omega * t) ** 2, abs=1e-9
-            )
+        np.testing.assert_allclose(
+            states[:, 1, 1].real, np.sin(0.5 * omega * times) ** 2, rtol=0, atol=1e-9
+        )
 
     def test_starts_with_initial_state(self):
         seq = self._square_pulse_seq(PI, 1e-6)
-        out = integrate_sequence(ground_state(), seq, AtomParams(), dt=1e-8)
-        t0, rho0 = out[0]
-        assert t0 == 0.0
-        assert max_element_distance(rho0, ground_state()) == 0.0
+        times, states = integrate_sequence(ground_state(), seq, AtomParams(), dt=1e-8)
+        assert times[0] == 0.0
+        np.testing.assert_array_equal(states[0], ground_state().elements)
 
     def test_lands_on_pulse_edges(self):
         seq = PulseSequence(
@@ -194,12 +189,11 @@ class TestIntegrateSequence:
             ),
             t_end=4.0e-6,
         )
-        out = integrate_sequence(ground_state(), seq, AtomParams(), dt=5e-9)
-        times = {t for t, _ in out}
+        times, _ = integrate_sequence(ground_state(), seq, AtomParams(), dt=5e-9)
         edges = {0.0, seq.t_end}
         for p in seq.pulses:
             edges |= {p.t_start, p.t_end}
-        assert edges <= times
+        assert edges <= set(times.tolist())
 
     @staticmethod
     def _hard_limit_deviation(atom, centers, areas, t_end, duration):
@@ -217,14 +211,14 @@ class TestIntegrateSequence:
             ),
             t_end=t_end,
         )
-        want = run_sequence_hard(ground_state(), hard, atom, [t_end])[-1][1]
+        want = run_sequence_hard(ground_state(), hard, atom, [t_end])[1][-1]
         # only the final state is read: a stride past the step count emits
         # nothing but the segment edges
         dt = duration / 100
-        out = integrate_sequence(
+        _, states = integrate_sequence(
             ground_state(), finite, atom, dt=dt, sample_stride=math.ceil(t_end / dt)
         )
-        return max_element_distance(out[-1][1], want)
+        return np.abs(states[-1] - want).max()
 
     def test_short_pulses_approach_hard_limit(self):
         # durations a thousandth of the gaps land within 1e-6 of the limit
@@ -261,10 +255,9 @@ class TestIntegrateSequence:
             t_end=4e-6,
         )
         atom = AtomParams(delta=2 * PI * 2e5, delta_s=2 * PI * 1e5)
-        out = integrate_sequence(ground_state(), seq, atom, dt=1e-9)
-        for _, rho in out[:: len(out) // 23]:
-            assert abs(rho.trace() - 1.0) <= 1e-9
-            assert abs(np.trace(rho.elements @ rho.elements).real - 1.0) <= 1e-9
+        _, states = integrate_sequence(ground_state(), seq, atom, dt=1e-9)
+        assert np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0).max() <= 1e-9
+        assert np.abs(purity(states) - 1.0).max() <= 1e-9
 
     def test_rejects_zero_duration_pulse(self):
         seq = PulseSequence(pulses=(Pulse(Channel.OPTICAL12, PI, 0.0),), t_end=1e-6)
@@ -276,19 +269,36 @@ class TestIntegrateSequence:
         with pytest.raises(ValueError, match="coarse"):
             integrate_sequence(ground_state(), seq, AtomParams(), dt=1e-7)
 
+    def test_dt_bound_is_the_shortest_pulse_over_100(self):
+        # the documented bound at its edge: a hundredth of the shortest pulse
+        # is accepted, and the next float above it refused
+        seq = PulseSequence(
+            pulses=(
+                Pulse(Channel.OPTICAL12, PI, 0.0, duration=0.3e-6),
+                Pulse(Channel.CONTROL23, PI, 0.3e-6, duration=0.7e-6),
+            ),
+            t_end=1e-6,
+        )
+        edge = 0.3e-6 / 100
+        times, _ = integrate_sequence(ground_state(), seq, AtomParams(), dt=edge)
+        assert times[-1] == seq.t_end
+        coarser = np.nextafter(edge, 1.0)
+        with pytest.raises(ValueError, match="coarse"):
+            integrate_sequence(ground_state(), seq, AtomParams(), dt=coarser)
+
     def test_sample_stride_thins_output_but_keeps_edges(self):
         seq = self._square_pulse_seq(PI, 1e-6, t_end=2e-6)
-        dense = integrate_sequence(ground_state(), seq, AtomParams(), dt=1e-9)
-        thin = integrate_sequence(
+        dense, _ = integrate_sequence(ground_state(), seq, AtomParams(), dt=1e-9)
+        thin, _ = integrate_sequence(
             ground_state(), seq, AtomParams(), dt=1e-9, sample_stride=100
         )
-        assert len(thin) < len(dense) / 50
-        thin_times = {t for t, _ in thin}
-        assert {0.0, 1e-6, 2e-6} <= thin_times
+        assert thin.size < dense.size / 50
+        assert {0.0, 1e-6, 2e-6} <= set(thin.tolist())
 
 
 def rk4_loop(rho0, seq, atom, dt, stride):
-    """integrate_sequence written as a plain loop of rk4_step calls."""
+    """integrate_sequence written as a plain loop of rk4_step calls, from a
+    3x3 array; returns its list of (t, state) pairs."""
     out = [(0.0, rho0)]
     rho = rho0
     for a, b, drive in _segments(seq):
@@ -336,11 +346,12 @@ class TestStepMatrix:
         seq, _ = case
         atom = AtomParams(delta=delta, delta_s=delta_s, gamma=gamma)
         dt = min((p.duration for p in seq.pulses), default=seq.t_end) / 100
-        got = integrate_sequence(ground_state(), seq, atom, dt, sample_stride=stride)
-        want = rk4_loop(ground_state(), seq, atom, dt, stride)
-        assert [t for t, _ in got] == [t for t, _ in want]
-        worst = max(max_element_distance(g, w) for (_, g), (_, w) in zip(got, want))
-        assert worst <= 1e-13
+        times, states = integrate_sequence(
+            ground_state(), seq, atom, dt, sample_stride=stride
+        )
+        want = rk4_loop(ground_state().elements, seq, atom, dt, stride)
+        assert times.tolist() == [t for t, _ in want]
+        assert np.abs(states - np.stack([w for _, w in want])).max() <= 1e-13
 
     def test_unstable_step_still_raises(self):
         # gamma * dt = 1e4 is far outside RK4's stability region

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,6 +276,39 @@ class TestSizeBudget:
             lo, hi = (mid, hi) if fits else (lo, mid)
         assert self.code(2 * lo + 1, 45.0, 0.005, duration) is None
         assert self.code(2 * hi + 1, 45.0, 0.005, duration) == "PROBLEM_TOO_LARGE"
+
+    def test_one_pulse_sample_decides_at_the_edge(self):
+        # a square pulse filling most of the window: its walk term,
+        # phase_sum(pulse_samples, 3 n_atoms, 5), sets trace_bytes, so the
+        # longest pulse that fits is accepted and one dt more is refused,
+        # before the time grid exists
+        n_atoms, t_end, dt = 25001, 500.0, 0.005
+        n_t = t_end * US / (dt * US) + 2.0
+
+        def duration(m):  # m steps of dt, in us
+            return round(m * dt, 10)
+
+        def pulse(m):  # the pulse's samples, as parse_sequence_file counts them
+            return duration(m) * US / (dt * US) + 1.0
+
+        def fits(m):
+            return trace_bytes(n_atoms, n_t, pulse(m)) <= TRACE_BUDGET_BYTES
+
+        lo, hi = 1, round((t_end - 1.0) / dt)
+        assert fits(lo) and not fits(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+        assert trace_bytes(n_atoms, n_t, pulse(lo)) > 2 * trace_bytes(n_atoms, n_t, 0.0)
+        assert self.code(n_atoms, t_end, dt, duration(lo)) is None
+        tracemalloc.start()
+        try:
+            code = self.code(n_atoms, t_end, dt, duration(hi))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == "PROBLEM_TOO_LARGE"
+        assert peak < 8 * n_t / 10  # a tenth of the time grid's bytes
 
     def test_shipped_cdr_at_200001_atoms_fits(self):
         from pathlib import Path

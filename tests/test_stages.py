@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import validate
+
 from cdrecho import (
     Channel,
     DensityMatrix,
@@ -13,7 +15,6 @@ from cdrecho import (
     max_element_distance,
     pulse_unitary,
     stage_chain,
-    validate,
 )
 from cdrecho.stages import (
     STAGE_LABELS,
@@ -89,8 +90,8 @@ class TestAgainstUnitaryOracle:
         rng = np.random.default_rng(7)
         for _ in range(30):
             d, r1, c1, c2, r2 = rng.uniform(0, 3 * PI, 5)
-            for _, rho in stage_chain(StageAreas(d, r1, c1, c2, r2)):
-                assert validate(rho).ok
+            chain = stage_chain(StageAreas(d, r1, c1, c2, r2))
+            assert validate(np.stack([rho.elements for _, rho in chain])).ok
 
 
 class TestCanonicalChain:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_valid_state
+from conftest import purity, random_valid_state, validate
 
 from cdrecho import (
     AtomParams,
@@ -18,8 +18,6 @@ from cdrecho import (
     after_data,
     ground_state,
     max_element_distance,
-    purity,
-    validate,
 )
 from cdrecho.states import PulseOverlapError
 
@@ -33,7 +31,7 @@ class TestDensityMatrix:
         assert rho.trace() == pytest.approx(1.0, abs=1e-15)
 
     def test_ground_state_is_valid(self):
-        assert validate(ground_state()).ok
+        assert validate(ground_state().elements).ok
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
@@ -57,40 +55,60 @@ class TestDensityMatrix:
             ground_state().population(4)
 
     def test_purity_of_pure_and_mixed(self):
-        assert purity(ground_state()) == pytest.approx(1.0, abs=1e-15)
-        mixed = DensityMatrix(np.eye(3) / 3.0)
-        assert purity(mixed) == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert purity(ground_state().elements) == pytest.approx(1.0, abs=1e-15)
+        assert purity(np.eye(3) / 3.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 class TestValidate:
     def test_reports_hermiticity_breach_magnitude(self):
         m = np.diag([1.0, 0.0, 0.0]).astype(complex)
         m[0, 1] = 1.0  # no conjugate partner
-        report = validate(DensityMatrix(m))
+        report = validate(m)
         assert not report.ok
         assert report.magnitude("hermiticity") == pytest.approx(1.0, abs=1e-12)
 
     def test_reports_trace_breach_magnitude(self):
         m = np.diag([0.5, 0.0, 0.0]).astype(complex)
-        report = validate(DensityMatrix(m))
+        report = validate(m)
         assert not report.ok
         assert report.magnitude("trace") == pytest.approx(0.5, abs=1e-12)
 
     def test_reports_negative_eigenvalue(self):
         m = np.diag([1.5, -0.5, 0.0]).astype(complex)
-        report = validate(DensityMatrix(m))
+        report = validate(m)
         assert not report.ok
         assert report.magnitude("positivity") == pytest.approx(0.5, abs=1e-12)
 
     def test_never_raises_on_garbage(self):
         m = np.full((3, 3), 7.0 + 3.0j)
-        report = validate(DensityMatrix(m))
+        report = validate(m)
         assert not report.ok
+
+    def test_reports_the_worst_of_each_kind_over_a_stack(self):
+        # each kind's worst breach sits in a different state of the stack
+        def unpaired(x):
+            # no conjugate partner; its symmetric part's least eigenvalue is
+            # above -0.21
+            m = np.diag([1.0, 0.0, 0.0]).astype(complex)
+            m[0, 1] = x
+            return m
+
+        rng = np.random.default_rng(8)
+        valid = [random_valid_state(rng).elements for _ in range(3)]
+        short = np.diag([0.75, 0.0, 0.0])
+        negative = np.diag([1.5, -0.5, 0.0])
+        stack = np.stack([*valid, unpaired(0.5), unpaired(1.0), short, negative])
+        report = validate(stack)
+        assert not report.ok
+        assert report.magnitude("hermiticity") == pytest.approx(1.0, abs=1e-12)
+        assert report.magnitude("trace") == pytest.approx(0.25, abs=1e-12)
+        assert report.magnitude("positivity") == pytest.approx(0.5, abs=1e-12)
+        assert validate(np.stack(valid)).ok
 
     def test_random_valid_states_pass(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            assert validate(random_valid_state(rng)).ok
+            assert validate(random_valid_state(rng).elements).ok
 
 
 class TestCoherence:

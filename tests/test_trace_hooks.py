@@ -39,6 +39,9 @@ def test_verify_and_echo_record_probe_spans(monkeypatch, capsys):
     assert "ensemble.simulate_hard_s" in names
     assert "integrator.integrate_sequence_s" in names
     assert tracer.counts["ensemble.atom_samples"] > 0
+    # the tracer counts RK4 steps from integrate_sequence's seq and dt, by its
+    # documented segmenting: verify's canonical run is 10 us at 1 ns
+    assert tracer.counts["integrator.rk4_steps"] == 10000
 
 
 def test_figures_sweep_and_stages_record_probe_spans(monkeypatch, capsys, tmp_path):

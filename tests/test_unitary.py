@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_valid_state, sequences
+from conftest import purity, random_valid_state, sequences
 
 from cdrecho import (
     AtomParams,
@@ -19,7 +19,6 @@ from cdrecho import (
     ground_state,
     max_element_distance,
     pulse_unitary,
-    purity,
     run_sequence_hard,
     stage_chain,
 )
@@ -34,10 +33,10 @@ def conjugate(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
     return DensityMatrix(u @ rho.elements @ u.conj().T)
 
 
-def free_evolve(rho: DensityMatrix, atom: AtomParams, span: float) -> DensityMatrix:
+def free_evolve(rho: DensityMatrix, atom: AtomParams, span: float) -> np.ndarray:
     """Free evolution over span: run_sequence_hard with no pulses."""
     seq = PulseSequence(pulses=(), t_end=span)
-    return run_sequence_hard(rho, seq, atom, [span])[-1][1]
+    return run_sequence_hard(rho, seq, atom, [span])[1][-1]
 
 
 def hard_loop(rho0, seq, atom, sample_times):
@@ -123,13 +122,13 @@ class TestFreeEvolution:
     def test_zero_detuning_is_identity(self):
         rho = random_valid_state(np.random.default_rng(15))
         out = free_evolve(rho, AtomParams(), 3.7e-6)
-        np.testing.assert_allclose(out.elements, rho.elements, atol=1e-15)
+        np.testing.assert_allclose(out, rho.elements, atol=1e-15)
 
     def test_optical_phase_rotation_magnitude(self):
         atom = AtomParams(delta=2 * PI * 1e6)
         rho = free_evolve(after_data(0.5 * PI), atom, 0.5e-6)
         before = np.angle(after_data(0.5 * PI).elements[0, 1])
-        after = np.angle(rho.elements[0, 1])
+        after = np.angle(rho[0, 1])
         turn = (after - before + PI) % (2 * PI) - PI
         assert abs(abs(turn) - PI) <= 1e-9
 
@@ -140,7 +139,7 @@ class TestFreeEvolution:
         m[0, 2] = m[2, 0] = 0.5
         atom = AtomParams(delta=2 * PI * 1e6, delta_s=0.0)
         out = free_evolve(DensityMatrix(m), atom, 1.3e-6)
-        assert out.elements[0, 2] == pytest.approx(0.5, abs=1e-12)
+        assert out[0, 2] == pytest.approx(0.5, abs=1e-12)
 
     def test_spin_detuning_rotates_spin_coherence(self):
         m = np.zeros((3, 3), complex)
@@ -150,17 +149,17 @@ class TestFreeEvolution:
         dt = 2.5e-6
         out = free_evolve(DensityMatrix(m), atom, dt)
         want = 0.5 * np.exp(1j * atom.delta_s * dt)
-        assert out.elements[0, 2] == pytest.approx(want, abs=1e-12)
+        assert out[0, 2] == pytest.approx(want, abs=1e-12)
 
     def test_purity_conserved(self):
         rng = np.random.default_rng(14)
         atom = AtomParams(delta=1.0e5, delta_s=3.0e4)
         for _ in range(20):
             rho = random_valid_state(rng)
-            before = purity(rho)
+            before = purity(rho.elements)
             for out in (
                 free_evolve(rho, atom, 1e-6),
-                conjugate(rho, pulse_unitary(Channel.OPTICAL12, 1.1)),
+                conjugate(rho, pulse_unitary(Channel.OPTICAL12, 1.1)).elements,
             ):
                 assert purity(out) == pytest.approx(before, abs=1e-12)
 
@@ -178,38 +177,40 @@ class TestRunSequenceHard:
             ),
             t_end=4.5e-5,
         )
-        boundaries = run_sequence_hard(ground_state(), seq, AtomParams())
+        _, boundaries = run_sequence_hard(ground_state(), seq, AtomParams())
         chain = stage_chain(areas)
         assert len(boundaries) == len(chain)
-        for (t, got), (_, want) in zip(boundaries, chain):
-            assert max_element_distance(got, want) <= 1e-12
+        for got, (_, want) in zip(boundaries, chain):
+            assert np.abs(got - want.elements).max() <= 1e-12
 
     def test_empty_sequence_keeps_state_constant(self):
         seq = PulseSequence(pulses=(), t_end=1.0)
-        out = run_sequence_hard(ground_state(), seq, AtomParams(), [0.25, 0.5, 1.0])
-        assert [t for t, _ in out] == [0.25, 0.5, 1.0]
-        for _, rho in out:
-            assert max_element_distance(rho, ground_state()) == 0.0
+        times, states = run_sequence_hard(
+            ground_state(), seq, AtomParams(), [0.25, 0.5, 1.0]
+        )
+        assert times.tolist() == [0.25, 0.5, 1.0]
+        for rho in states:
+            np.testing.assert_array_equal(rho, ground_state().elements)
 
     def test_detuned_pi_pulse_still_inverts(self):
         seq = PulseSequence(pulses=(Pulse(Channel.OPTICAL12, PI, 1.0),), t_end=2.0)
         atom = AtomParams(delta=2 * PI * 1e4)
-        out = run_sequence_hard(ground_state(), seq, atom, [2.0])
-        assert out[-1][1].population(2) == pytest.approx(1.0, abs=1e-12)
+        _, states = run_sequence_hard(ground_state(), seq, atom, [2.0])
+        assert states[-1, 1, 1].real == pytest.approx(1.0, abs=1e-12)
 
     def test_sample_on_pulse_instant_shows_post_pulse_state(self):
         seq = PulseSequence(pulses=(Pulse(Channel.OPTICAL12, PI, 1.0),), t_end=2.0)
-        out = run_sequence_hard(ground_state(), seq, AtomParams(), [1.0])
-        assert len(out) == 1
-        assert out[0][1].population(2) == pytest.approx(1.0, abs=1e-12)
+        times, states = run_sequence_hard(ground_state(), seq, AtomParams(), [1.0])
+        assert times.tolist() == [1.0]
+        assert states[0, 1, 1].real == pytest.approx(1.0, abs=1e-12)
 
     def test_detuned_coherence_phase_between_pulses(self):
         atom = AtomParams(delta=2 * PI * 2.5e5)
         seq = PulseSequence(pulses=(Pulse(Channel.OPTICAL12, 0.1 * PI, 0.0),), t_end=1e-5)
         t = 0.8e-6
-        _, rho = run_sequence_hard(ground_state(), seq, atom, [t])[-1]
+        rho = run_sequence_hard(ground_state(), seq, atom, [t])[1][-1]
         want = -0.5j * math.sin(0.1 * PI) * np.exp(1j * atom.delta * t)
-        assert rho.elements[0, 1] == pytest.approx(want, abs=1e-12)
+        assert rho[0, 1] == pytest.approx(want, abs=1e-12)
 
     @settings(max_examples=40)
     @given(
@@ -226,11 +227,11 @@ class TestRunSequenceHard:
         times = data.draw(st.lists(st.sampled_from(grid.tolist() + instants), max_size=8))
         atom = AtomParams(delta=delta, delta_s=delta_s)
         rho0 = random_valid_state(np.random.default_rng(seed))
-        got = run_sequence_hard(rho0, seq, atom, times)
+        got_t, got = run_sequence_hard(rho0, seq, atom, times)
         want = hard_loop(rho0, seq, atom, times)
-        assert [t for t, _ in got] == [t for t, _ in want]
-        for (_, rho), (_, m) in zip(got, want):
-            assert np.abs(rho.elements - m).max() <= 1e-12
+        assert got_t.tolist() == [t for t, _ in want]
+        for rho, (_, m) in zip(got, want):
+            assert np.abs(rho - m).max() <= 1e-12
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_sample_times_are_refused(self, bad):

@@ -1,5 +1,8 @@
 """The cross-validation suite itself must pass and report honestly."""
 
+import math
+
+import numpy as np
 import pytest
 
 from cdrecho import DensityMatrix, verify
@@ -60,17 +63,94 @@ class TestRunChecks:
         assert all(c.ok for c in checks)
 
 
-def _nudged_rhs(monkeypatch):
-    # one element of one state's derivative moves by 1e-12, a hundred times
-    # the check's 1e-14 tolerance
+def _shifted(m, index, x):
+    """A writable copy of m with x added at index."""
+    out = np.array(m)
+    out[index] += x
+    return out
+
+
+def _chain_fault(monkeypatch, x):
+    # Im rho12 after the data pulse moves by x
+    real = verify.stage_chain
+
+    def faulty(areas):
+        (label, rho), *rest = real(areas)
+        return [(label, DensityMatrix(_shifted(rho.elements, (0, 1), 1j * x))), *rest]
+
+    monkeypatch.setattr(verify, "stage_chain", faulty)
+
+
+def _recovery_fault(monkeypatch, x):
+    # rho12 after the control pair moves by x
+    real = verify.after_c2
+
+    def faulty(*areas):
+        return DensityMatrix(_shifted(real(*areas).elements, (0, 1), x))
+
+    monkeypatch.setattr(verify, "after_c2", faulty)
+
+
+def _hard_final_fault(monkeypatch, x):
+    # rho12 of the last hard-pulse state moves by x
+    real = verify.run_sequence_hard
+
+    def faulty(*args):
+        times, states = real(*args)
+        return times, _shifted(states, (-1, 0, 1), x)
+
+    monkeypatch.setattr(verify, "run_sequence_hard", faulty)
+
+
+def _drift_fault(monkeypatch, x):
+    # rho33 of the first RK4 state, 0 in the ground state, moves by x: the
+    # trace drifts by x and the purity by x^2
+    real = verify.integrate_sequence
+
+    def faulty(*args, **kwargs):
+        times, states = real(*args, **kwargs)
+        return times, _shifted(states, (0, 2, 2), x)
+
+    monkeypatch.setattr(verify, "integrate_sequence", faulty)
+
+
+def _rhs_fault(monkeypatch, x):
+    # one element of one state's derivative moves by x
     real = verify._rhs_elements
 
     def nudged(rho, omega_j, omega_k, atom):
         out = real(rho, omega_j, omega_k, atom)
-        out.reshape(-1, 3, 3)[0, 1, 2] += 1e-12  # a view: out is a fresh array
+        out.reshape(-1, 3, 3)[0, 1, 2] += x  # a view: out is a fresh array
         return out
 
     monkeypatch.setattr(verify, "_rhs_elements", nudged)
+
+
+def _weak_area_fault(monkeypatch, x):
+    # the weak pulse's areas scale by 1 + x, a relative error of x
+    real = verify.propagate_area
+
+    def faulty(phi0, alpha, z_max):
+        table = real(phi0, alpha, z_max)
+        return table * [1.0, 1.0 + x] if phi0 < 1.0 else table
+
+    monkeypatch.setattr(verify, "propagate_area", faulty)
+
+
+def _pi_area_fault(monkeypatch, x):
+    # the pi pulse's areas move by x
+    real = verify.propagate_area
+
+    def faulty(phi0, alpha, z_max):
+        table = real(phi0, alpha, z_max)
+        return table + [0.0, x] if phi0 == math.pi else table
+
+    monkeypatch.setattr(verify, "propagate_area", faulty)
+
+
+def _nudged_rhs(monkeypatch):
+    # a hundred times the check's 1e-14 tolerance
+    _rhs_fault(monkeypatch, 1e-12)
 
 
 def _scaled_trajectory(monkeypatch):
@@ -79,17 +159,47 @@ def _scaled_trajectory(monkeypatch):
     real = verify.integrate_sequence
 
     def scaled(*args, **kwargs):
-        return [
-            (t, DensityMatrix(state.elements * (1 + 1e-8)))
-            for t, state in real(*args, **kwargs)
-        ]
+        times, states = real(*args, **kwargs)
+        return times, states * (1 + 1e-8)
 
     monkeypatch.setattr(verify, "integrate_sequence", scaled)
 
 
+# (check, fault, bound, whether the check prints the bound as its tolerance):
+# the six printed tolerances, the engine's trace/purity drift and the pi area's
+# drift
+BOUNDS = [
+    (check_weak_chain, _chain_fault, 1e-9, True),
+    (check_half_pi_chain, _chain_fault, 1e-9, True),
+    (check_control_recovery, _recovery_fault, 1e-12, True),
+    (check_engine_agreement, _hard_final_fault, 1e-8, True),
+    (check_engine_agreement, _drift_fault, 1e-9, False),
+    (check_rate_equations, _rhs_fault, 1e-14, True),
+    (check_area_propagation, _weak_area_fault, 1e-2, True),
+    (check_area_propagation, _pi_area_fault, 1e-12, False),
+]
+
+
 class TestChecksCatchFaults:
-    """The batched checks fail on a fault ten to a hundred times their
-    tolerance, and `verify` exits 1."""
+    """Every bound holds both ways: a fault of 1.2 times it fails its check
+    and one of 0.8 times it passes. The batched checks fail on a fault ten to
+    a hundred times their tolerance, and `verify` exits 1."""
+
+    @pytest.mark.parametrize("factor", [0.8, 1.2])
+    @pytest.mark.parametrize(
+        "check, fault, bound, printed",
+        BOUNDS,
+        ids=[f"{c.__name__[6:]}-{f.__name__[1:-6]}" for c, f, _, _ in BOUNDS],
+    )
+    def test_bound_is_pinned_both_ways(
+        self, monkeypatch, check, fault, bound, printed, factor
+    ):
+        fault(monkeypatch, factor * bound)
+        got = check()
+        assert got.ok == (factor < 1.0)
+        if printed:
+            assert got.tolerance == bound
+            assert got.deviation == pytest.approx(factor * bound, rel=1e-2)
 
     def test_rate_equations_catch_one_nudged_element(self, monkeypatch):
         _nudged_rhs(monkeypatch)
