@@ -30,15 +30,7 @@ from .stages import (
     after_r2_dr,
     stage_chain,
 )
-from .states import (
-    AtomParams,
-    Channel,
-    DensityMatrix,
-    Pulse,
-    PulseSequence,
-    ground_state,
-    max_element_distance,
-)
+from .states import AtomParams, Channel, Pulse, PulseSequence, ground_state
 from .sweeps import FigureId, SweepSpec, figure_dataset, run_sweep
 from .unitary import pulse_unitary, run_sequence_hard
 
@@ -48,7 +40,6 @@ __all__ = [
     "AtomParams",
     "Channel",
     "CsvWriteError",
-    "DensityMatrix",
     "DriveSample",
     "EchoEvent",
     "EchoReport",
@@ -71,7 +62,6 @@ __all__ = [
     "figure_dataset",
     "ground_state",
     "integrate_sequence",
-    "max_element_distance",
     "parse_sequence_file",
     "predict_echo_times",
     "propagate_area",

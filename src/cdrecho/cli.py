@@ -94,7 +94,7 @@ def _cmd_stages(args) -> int:
     chain = stage_chain(_areas_from(args))
     print(",".join(("stage", *COLUMNS)))
     for label, state in chain:
-        print(label + "," + ",".join(f"{v:+.9f}" for v in observables(state.elements)))
+        print(label + "," + ",".join(f"{v:+.9f}" for v in observables(state)))
     return 0
 
 

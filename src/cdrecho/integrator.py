@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import AtomParams, Channel, DensityMatrix, PulseSequence
+from .states import AtomParams, Channel, PulseSequence, _as_state_array
 
 __all__ = ["DriveSample", "integrate_sequence"]
 
@@ -139,13 +139,14 @@ def _segments(seq: PulseSequence) -> list[tuple[float, float, DriveSample]]:
 
 
 def integrate_sequence(
-    rho0: DensityMatrix,
+    rho0,
     seq: PulseSequence,
     atom: AtomParams,
     dt: float,
     sample_stride: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate a finite-duration pulse sequence over [0, t_end].
+    """Integrate a finite-duration pulse sequence over [0, t_end] from rho0,
+    any 3x3 array-like.
 
     Requires every pulse duration > 0 and dt no coarser than a hundredth of
     the shortest pulse. Segment lengths are divided into whole steps, so the
@@ -160,6 +161,7 @@ def integrate_sequence(
     cannot turn finite again under the matrix products, so it is caught at
     the next sample.
     """
+    rho = _as_state_array(rho0)
     if dt <= 0 or not math.isfinite(dt):
         raise ValueError("dt must be positive and finite")
     if not isinstance(sample_stride, numbers.Integral):
@@ -175,7 +177,6 @@ def integrate_sequence(
             "(shortest pulse / 100)"
         )
 
-    rho = rho0.elements
     times, states = [0.0], [rho]
     for a, b, drive in _segments(seq):
         span = b - a

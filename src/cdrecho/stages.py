@@ -11,22 +11,20 @@ an exact solution parametrized only by accumulated pulse areas:
 * the final rephasing mixes the optical block while leaving the shelved
   population untouched.
 
-Every function returns the full 3x3 state, including the spin coherences
-produced by composing the control stage with the final optical rotation.
-The closed forms in STAGES take arrays of areas and return (..., 3, 3)
-arrays, so a whole sweep is one call; each after_* function is the
-single-state view of its table entry.
+Every after_* function is one stage's closed form: it takes areas, as
+floats or as arrays that broadcast against each other, and returns the full
+(..., 3, 3) states, including the spin coherences produced by composing the
+control stage with the final optical rotation. A whole sweep is one call.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-
-from .states import DensityMatrix
 
 __all__ = [
     "StageAreas",
@@ -44,18 +42,15 @@ __all__ = [
     "HALF_PI",
 ]
 
-STAGE_LABELS = ("D", "R1", "C1", "C2", "R2")
-
-
 @dataclass(frozen=True)
 class StageAreas:
     """Pulse areas (radians) for the five-pulse protocol, in firing order."""
 
-    phi_d: float = 0.0
-    phi_r1: float = 0.0
-    phi_c1: float = 0.0
-    phi_c2: float = 0.0
-    phi_r2: float = 0.0
+    phi_d: float
+    phi_r1: float
+    phi_c1: float
+    phi_c2: float
+    phi_r2: float
 
     def __post_init__(self):
         for name in ("phi_d", "phi_r1", "phi_c1", "phi_c2", "phi_r2"):
@@ -126,23 +121,6 @@ def _rephased(theta, control_total, phi_r2) -> np.ndarray:
     return _hermitian(r11, r22, r33, 1j * im12, r13, 1j * i23)
 
 
-# stage name -> (area names in call order, closed form over area arrays that
-# broadcast against each other and give (..., 3, 3) states)
-STAGES: dict[str, tuple[tuple[str, ...], Callable[..., np.ndarray]]] = {
-    "data": (("phi_d",), _optical_block),
-    "r1": (("phi_d", "phi_r1"), lambda d, r1: _optical_block(d + r1)),
-    "r2_dr": (("phi_d", "phi_r1", "phi_r2"), lambda d, r1, r2: _optical_block(d + r1 + r2)),
-    "c1": (("phi_d", "phi_r1", "phi_c1"), lambda d, r1, c1: _shelved(d + r1, c1)),
-    "c2": (
-        ("phi_d", "phi_r1", "phi_c1", "phi_c2"),
-        lambda d, r1, c1, c2: _shelved(d + r1, c1 + c2),
-    ),
-    "r2_cdr": (
-        ("phi_d", "phi_r1", "phi_c1", "phi_c2", "phi_r2"),
-        lambda d, r1, c1, c2, r2: _rephased(d + r1, c1 + c2, r2),
-    ),
-}
-
 COLUMNS = ("im_rho12", "re_rho13", "rho11", "rho22", "rho33")
 
 
@@ -152,45 +130,35 @@ def observables(m: np.ndarray) -> np.ndarray:
     return np.stack([m[..., 0, 1].imag, m[..., 0, 2].real, *diagonal], axis=-1)
 
 
-def _state(stage: str, *areas: float) -> DensityMatrix:
-    return DensityMatrix(STAGES[stage][1](*areas))
-
-
-def after_data(phi_d: float) -> DensityMatrix:
+def after_data(phi_d) -> np.ndarray:
     """Ground state hit by the data pulse: rho12 = -(i/2) sin(phi_d)."""
-    return _state("data", phi_d)
+    return _optical_block(phi_d)
 
 
-def after_r1(phi_d: float, phi_r1: float) -> DensityMatrix:
+def after_r1(phi_d, phi_r1) -> np.ndarray:
     """After the first rephasing pulse; optical areas simply add."""
-    return _state("r1", phi_d, phi_r1)
+    return _optical_block(phi_d + phi_r1)
 
 
-def after_r2_dr(phi_d: float, phi_r1: float, phi_r2: float) -> DensityMatrix:
+def after_r2_dr(phi_d, phi_r1, phi_r2) -> np.ndarray:
     """Double-rephasing protocol without control pulses: one optical rotation
     of total area phi_d + phi_r1 + phi_r2."""
-    return _state("r2_dr", phi_d, phi_r1, phi_r2)
+    return _optical_block(phi_d + phi_r1 + phi_r2)
 
 
-def after_c1(phi_d: float, phi_r1: float, phi_c1: float) -> DensityMatrix:
+def after_c1(phi_d, phi_r1, phi_c1) -> np.ndarray:
     """First control pulse: scales rho12 by cos(phi_c1/2) and moves the rest
     of the excited amplitude onto the spin level."""
-    return _state("c1", phi_d, phi_r1, phi_c1)
+    return _shelved(phi_d + phi_r1, phi_c1)
 
 
-def after_c2(phi_d: float, phi_r1: float, phi_c1: float, phi_c2: float) -> DensityMatrix:
+def after_c2(phi_d, phi_r1, phi_c1, phi_c2) -> np.ndarray:
     """Second control pulse; control areas add, so a pi-pi pair gives the
     coherence scale cos(pi) = -1 and restores the excited population."""
-    return _state("c2", phi_d, phi_r1, phi_c1, phi_c2)
+    return _shelved(phi_d + phi_r1, phi_c1 + phi_c2)
 
 
-def after_r2_cdr(
-    phi_d: float,
-    phi_r1: float,
-    phi_c1: float,
-    phi_c2: float,
-    phi_r2: float,
-) -> DensityMatrix:
+def after_r2_cdr(phi_d, phi_r1, phi_c1, phi_c2, phi_r2) -> np.ndarray:
     """Full controlled-double-rephasing state after the final optical pulse.
 
     Composes the post-C2 state with an optical rotation of area phi_r2. The
@@ -198,12 +166,27 @@ def after_r2_cdr(
     spin coherences mix as (rho13, rho23) -> (c rho13 + i s rho23,
     i s rho13 + c rho23) with c = cos(phi_r2/2), s = sin(phi_r2/2).
     """
-    return _state("r2_cdr", phi_d, phi_r1, phi_c1, phi_c2, phi_r2)
+    return _rephased(phi_d + phi_r1, phi_c1 + phi_c2, phi_r2)
 
 
-def stage_chain(areas: StageAreas) -> list[tuple[str, DensityMatrix]]:
+# stage name -> (area names in call order, the stage's closed form)
+STAGES: dict[str, tuple[tuple[str, ...], Callable[..., np.ndarray]]] = {
+    name: (tuple(inspect.signature(form).parameters), form)
+    for name, form in (
+        ("data", after_data),
+        ("r1", after_r1),
+        ("r2_dr", after_r2_dr),
+        ("c1", after_c1),
+        ("c2", after_c2),
+        ("r2_cdr", after_r2_cdr),
+    )
+}
+
+
+def stage_chain(areas: StageAreas) -> list[tuple[str, np.ndarray]]:
     """States after each of D, R1, C1, C2, R2 in firing order."""
-    return [
-        (label, _state(stage, *(getattr(areas, n) for n in STAGES[stage][0])))
-        for label, stage in zip(STAGE_LABELS, ("data", "r1", "c1", "c2", "r2_cdr"))
-    ]
+    chain = []
+    for label, stage in (("D", "data"), ("R1", "r1"), ("C1", "c1"), ("C2", "c2"), ("R2", "r2_cdr")):
+        names, form = STAGES[stage]
+        chain.append((label, form(*(getattr(areas, n) for n in names))))
+    return chain

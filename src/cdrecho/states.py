@@ -1,7 +1,8 @@
-"""Density-matrix and pulse value types for the three-level echo simulator.
+"""State and pulse value types for the three-level echo simulator.
 
-Level ordering is |1> ground, |2> optically excited, |3> auxiliary spin.
-All types here are immutable values; every operation returns a new object.
+Level ordering is |1> ground, |2> optically excited, |3> auxiliary spin. A
+state is a 3x3 complex density-matrix array; the pulse types here are
+immutable values.
 """
 
 from __future__ import annotations
@@ -14,13 +15,11 @@ import numpy as np
 
 __all__ = [
     "Channel",
-    "DensityMatrix",
     "Pulse",
     "PulseSequence",
     "PulseOverlapError",
     "AtomParams",
     "ground_state",
-    "max_element_distance",
 ]
 
 
@@ -32,6 +31,7 @@ class Channel(enum.Enum):
 
 
 def _as_state_array(elements) -> np.ndarray:
+    """A read-only complex copy of a 3x3 array-like with finite entries."""
     arr = np.asarray(elements, dtype=complex)
     if arr.shape != (3, 3):
         raise ValueError(f"density matrix must be 3x3, got shape {arr.shape}")
@@ -42,43 +42,11 @@ def _as_state_array(elements) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """3x3 complex density matrix. The backing array is read-only."""
-
-    elements: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", _as_state_array(self.elements))
-
-    def population(self, level: int) -> float:
-        """Real occupation of a level, 1-based index."""
-        if level not in (1, 2, 3):
-            raise IndexError(f"level index must be 1, 2 or 3, got {level}")
-        return float(self.elements[level - 1, level - 1].real)
-
-    def trace(self) -> float:
-        return float(self.elements.trace().real)
-
-    def __eq__(self, other):
-        if not isinstance(other, DensityMatrix):
-            return NotImplemented
-        return bool(np.array_equal(self.elements, other.elements))
-
-    def __hash__(self):
-        return hash(self.elements.tobytes())
-
-
-def ground_state() -> DensityMatrix:
-    """All population in |1>, no coherences."""
+def ground_state() -> np.ndarray:
+    """All population in |1>, no coherences, as a read-only 3x3 array."""
     rho = np.zeros((3, 3), dtype=complex)
     rho[0, 0] = 1.0
-    return DensityMatrix(rho)
-
-
-def max_element_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Largest elementwise absolute difference between two states."""
-    return float(np.abs(a.elements - b.elements).max())
+    return _as_state_array(rho)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ class SweepSpec:
     lo: float
     hi: float
     steps: int
-    fixed: StageAreas = StageAreas()
+    fixed: StageAreas
 
     def __post_init__(self):
         if self.stage not in STAGES:

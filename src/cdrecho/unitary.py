@@ -20,7 +20,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .states import AtomParams, Channel, DensityMatrix, Pulse, PulseSequence
+from .states import AtomParams, Channel, Pulse, PulseSequence, _as_state_array
 
 __all__ = [
     "pulse_unitary",
@@ -140,12 +140,13 @@ def stretches(
 
 
 def run_sequence_hard(
-    rho0: DensityMatrix,
+    rho0,
     seq: PulseSequence,
     atom: AtomParams,
     sample_times: Iterable[float] = (),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evolve rho0 through a hard-pulse sequence starting at t = 0.
+    """Evolve rho0, any 3x3 array-like, through a hard-pulse sequence
+    starting at t = 0.
 
     Returns (times, states): the (n,) times and the read-only (n, 3, 3)
     states at every requested sample time and at every pulse instant, in
@@ -154,6 +155,7 @@ def run_sequence_hard(
     The atom runs as a batch of one through `stretches`. Decay is ignored
     here; use the integrator for damped dynamics.
     """
+    rho0 = _as_state_array(rho0)
     for p in seq.pulses:
         if not p.is_hard:
             raise ValueError("run_sequence_hard requires zero-duration pulses")
@@ -168,7 +170,7 @@ def run_sequence_hard(
     times: list[np.ndarray] = []
     states: list[np.ndarray] = []
     idx = 0
-    walk = stretches(seq, lam[:, 1], lam[:, 2], rho0.elements[None])
+    walk = stretches(seq, lam[:, 1], lam[:, 2], rho0[None])
     for k, (start, end, rho, _) in enumerate(walk):
         if k:  # every stretch after the first opens at a pulse instant
             times.append(np.array([start]))

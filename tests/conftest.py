@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from cdrecho import (
     AtomParams,
     Channel,
-    DensityMatrix,
     DriveSample,
     Pulse,
     PulseSequence,
@@ -42,10 +41,10 @@ settings.load_profile("cdrecho")
 PI = math.pi
 
 
-def random_valid_state(rng) -> DensityMatrix:
+def random_valid_state(rng) -> np.ndarray:
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     m = a @ a.conj().T
-    return DensityMatrix(m / m.trace())
+    return m / m.trace()
 
 
 HERMITICITY_TOL = 1e-12
@@ -102,9 +101,9 @@ def purity(states: np.ndarray):
     return np.trace(states @ states, axis1=-2, axis2=-1).real
 
 
-def rhs(rho: DensityMatrix, drive: DriveSample, atom: AtomParams) -> np.ndarray:
+def rhs(rho: np.ndarray, drive: DriveSample, atom: AtomParams) -> np.ndarray:
     """d(rho)/dt for the given instantaneous drive and atom parameters."""
-    return _rhs_elements(rho.elements, drive.omega_j, drive.omega_k, atom)
+    return _rhs_elements(rho, drive.omega_j, drive.omega_k, atom)
 
 
 def rk4_step(

@@ -18,7 +18,6 @@ from conftest import purity, rhs
 
 from cdrecho import (
     AtomParams,
-    DensityMatrix,
     DriveSample,
     FigureId,
     StageAreas,
@@ -26,9 +25,7 @@ from cdrecho import (
     figure_dataset,
     ground_state,
     integrate_sequence,
-    max_element_distance,
     parse_sequence_file,
-    predict_echo_times,
     propagate_area,
     render_csv,
     run_sequence_hard,
@@ -55,7 +52,7 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 
 def _chain_im12(areas: StageAreas) -> list[float]:
-    return [float(state.elements[0, 1].imag) for _, state in stage_chain(areas)]
+    return [float(state[0, 1].imag) for _, state in stage_chain(areas)]
 
 
 def _protocol_run(name: str):
@@ -82,7 +79,7 @@ def test_01_weak_data_chain_signs():
     got = _chain_im12(CANONICAL)
     final = stage_chain(CANONICAL)[-1][1]
     dev = max(abs(g - w) for g, w in zip(got, want))
-    dev = max(dev, final.population(3), abs(final.population(2) - POP_WEAK))
+    dev = max(dev, final[2, 2].real, abs(final[1, 1].real - POP_WEAK))
     ok = dev <= 1e-9
     report("weak-data-chain", ok, f"max deviation {dev:.3e} (tol 1e-9)")
     assert ok
@@ -99,13 +96,11 @@ def test_02_half_pi_chain_signs():
 
 def test_03_control_area_recovery():
     base = after_r1(0.1 * PI, PI)
-    dev4 = max_element_distance(after_c2(0.1 * PI, PI, 2 * PI, 2 * PI), base)
-    negated = base.elements.copy()
+    dev4 = float(np.abs(after_c2(0.1 * PI, PI, 2 * PI, 2 * PI) - base).max())
+    negated = base.copy()
     negated[0, 1] *= -1.0
     negated[1, 0] *= -1.0
-    dev2 = max_element_distance(
-        after_c2(0.1 * PI, PI, PI, PI), DensityMatrix(negated)
-    )
+    dev2 = float(np.abs(after_c2(0.1 * PI, PI, PI, PI) - negated).max())
     dev = max(dev4, dev2)
     ok = dev <= 1e-12
     report(
@@ -127,8 +122,8 @@ def test_04_three_engines_agree():
     )
 
     dev = max(
-        max_element_distance(analytic, DensityMatrix(hard[-1])),
-        max_element_distance(analytic, DensityMatrix(traj[-1])),
+        float(np.abs(analytic - hard[-1]).max()),
+        float(np.abs(analytic - traj[-1]).max()),
     )
     drift = max(
         np.abs(np.trace(traj, axis1=1, axis2=2).real - 1.0).max(),
@@ -158,7 +153,7 @@ def test_05_rate_equations_match_commutator():
             [[0.0, oj, 0.0], [oj, 0.0, ok_], [0.0, ok_, 0.0]], dtype=complex
         )
         want = -1j * (h @ m - m @ h)
-        got = rhs(DensityMatrix(m), DriveSample(omega_j=oj, omega_k=ok_), atom)
+        got = rhs(m, DriveSample(omega_j=oj, omega_k=ok_), atom)
         worst = max(worst, float(np.abs(got - want).max()))
     ok = worst <= 1e-14
     report("rate-equations", ok, f"worst element {worst:.3e} (tol 1e-14)")

@@ -14,7 +14,6 @@ import pytest
 
 from cdrecho import (
     AtomParams,
-    DensityMatrix,
     PulseSequence,
     integrate_sequence,
     verify,
@@ -446,7 +445,7 @@ class TestVerify:
             excited = np.zeros((3, 3), dtype=complex)
             excited[1, 1] = 1.0
             integrate_sequence(
-                DensityMatrix(excited),
+                excited,
                 PulseSequence(pulses=(), t_end=1e-7),
                 AtomParams(gamma=(0.0, 1e13, 0.0)),
                 dt=1e-9,

@@ -38,6 +38,7 @@ from cdrecho.ensemble import (
     _turns,
     trace_bytes,
 )
+from cdrecho.stages import CANONICAL
 
 PI = math.pi
 US = 1e-6
@@ -178,7 +179,7 @@ class TestEnsembleSpec:
     "make",
     [
         lambda: EnsembleSpec(n_atoms=5.0),
-        lambda: SweepSpec("r1", "phi_r1", 0.0, 1.0, steps=2.5),
+        lambda: SweepSpec("r1", "phi_r1", 0.0, 1.0, steps=2.5, fixed=CANONICAL),
         lambda: integrate_sequence(
             ground_state(), PulseSequence((), t_end=1e-6), AtomParams(), 1e-8, sample_stride=2.5
         ),

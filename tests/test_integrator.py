@@ -12,7 +12,6 @@ from conftest import purity, random_valid_state, rhs, rk4_step, sequences
 from cdrecho import (
     AtomParams,
     Channel,
-    DensityMatrix,
     DriveSample,
     Pulse,
     PulseSequence,
@@ -52,7 +51,7 @@ class TestRhs:
                 delta_s=rng.uniform(-1e7, 1e7),
                 gamma=tuple(rng.uniform(0, 1e5, 3)),
             )
-            dev = np.max(np.abs(rhs(rho, drive, atom) - oracle_rhs(rho.elements, drive, atom)))
+            dev = np.max(np.abs(rhs(rho, drive, atom) - oracle_rhs(rho, drive, atom)))
             worst = max(worst, dev / max(1.0, abs(drive.omega_j), abs(drive.omega_k)))
         assert worst <= 1e-14
 
@@ -75,7 +74,7 @@ class TestRhs:
 
     def test_population_loss_rates(self):
         # with no drive each population decays at its own rate
-        rho = DensityMatrix(np.diag([0.2, 0.5, 0.3]).astype(complex))
+        rho = np.diag([0.2, 0.5, 0.3]).astype(complex)
         atom = AtomParams(gamma=(10.0, 20.0, 30.0))
         d = rhs(rho, DriveSample(), atom)
         assert d[0, 0].real == pytest.approx(-10.0 * 0.2, abs=1e-12)
@@ -98,7 +97,7 @@ class TestRhs:
         states = [random_valid_state(np.random.default_rng(seed)) for seed, _, _ in cases]
         omega_j, omega_k = np.array([drive for _, *drive in cases]).T
         atom = AtomParams(delta=delta, delta_s=delta_s, gamma=gamma)
-        batch = _rhs_elements(np.stack([r.elements for r in states]), omega_j, omega_k, atom)
+        batch = _rhs_elements(np.stack(states), omega_j, omega_k, atom)
         for got, rho, (_, oj, ok) in zip(batch, states, cases):
             np.testing.assert_array_equal(got, rhs(rho, DriveSample(oj, ok), atom))
 
@@ -109,7 +108,7 @@ class TestRk4Step:
         rng = np.random.default_rng(46)
         rho = random_valid_state(rng)
         dt = 1e-9
-        stepped = rho.elements
+        stepped = rho
         for _ in range(100):
             stepped = rk4_step(stepped, dt, DriveSample(), atom)
         free = PulseSequence(pulses=(), t_end=100 * dt)
@@ -119,7 +118,7 @@ class TestRk4Step:
     def test_fourth_order_convergence(self):
         atom = AtomParams(delta=2 * PI * 1e6)
         drive = DriveSample(omega_j=2 * PI * 1e6)
-        rho0 = ground_state().elements
+        rho0 = ground_state()
         span = 1e-6
 
         def err(n):
@@ -139,9 +138,9 @@ class TestRk4Step:
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
-            rk4_step(ground_state().elements, 0.0, DriveSample(), AtomParams())
+            rk4_step(ground_state(), 0.0, DriveSample(), AtomParams())
         with pytest.raises(ValueError):
-            rk4_step(ground_state().elements, -1e-9, DriveSample(), AtomParams())
+            rk4_step(ground_state(), -1e-9, DriveSample(), AtomParams())
 
     def test_exponential_population_decay(self):
         excited = np.zeros((3, 3), complex)
@@ -179,7 +178,7 @@ class TestIntegrateSequence:
         seq = self._square_pulse_seq(PI, 1e-6)
         times, states = integrate_sequence(ground_state(), seq, AtomParams(), dt=1e-8)
         assert times[0] == 0.0
-        np.testing.assert_array_equal(states[0], ground_state().elements)
+        np.testing.assert_array_equal(states[0], ground_state())
 
     def test_lands_on_pulse_edges(self):
         seq = PulseSequence(
@@ -349,7 +348,7 @@ class TestStepMatrix:
         times, states = integrate_sequence(
             ground_state(), seq, atom, dt, sample_stride=stride
         )
-        want = rk4_loop(ground_state().elements, seq, atom, dt, stride)
+        want = rk4_loop(ground_state(), seq, atom, dt, stride)
         assert times.tolist() == [t for t, _ in want]
         assert np.abs(states - np.stack([w for _, w in want])).max() <= 1e-13
 
@@ -361,6 +360,4 @@ class TestStepMatrix:
         atom = AtomParams(gamma=(0.0, 1e13, 0.0))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match="non-finite"):
-                integrate_sequence(
-                    DensityMatrix(excited), seq, atom, dt=1e-9, sample_stride=50
-                )
+                integrate_sequence(excited, seq, atom, dt=1e-9, sample_stride=50)

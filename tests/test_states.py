@@ -1,62 +1,93 @@
-"""Value types: construction, validation report, accessors, immutability."""
+"""State arrays and pulse value types: the engines' guard on the initial
+state, the validation report, read-only ground states."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import purity, random_valid_state, validate
 
 from cdrecho import (
     AtomParams,
     Channel,
-    DensityMatrix,
     Pulse,
     PulseSequence,
     after_data,
     ground_state,
-    max_element_distance,
+    integrate_sequence,
+    run_sequence_hard,
 )
 from cdrecho.states import PulseOverlapError
 
 
-class TestDensityMatrix:
+class TestGroundState:
     def test_ground_state_layout(self):
         rho = ground_state()
-        assert rho.population(1) == 1.0
-        assert rho.population(2) == 0.0
-        assert rho.population(3) == 0.0
-        assert rho.trace() == pytest.approx(1.0, abs=1e-15)
+        assert rho.shape == (3, 3)
+        assert rho[0, 0].real == 1.0
+        assert rho[1, 1].real == 0.0
+        assert rho[2, 2].real == 0.0
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-15)
 
     def test_ground_state_is_valid(self):
-        assert validate(ground_state().elements).ok
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.eye(2))
-
-    def test_rejects_non_finite(self):
-        m = np.eye(3, dtype=complex)
-        m[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            DensityMatrix(m)
+        assert validate(ground_state()).ok
 
     def test_backing_array_is_read_only(self):
         rho = ground_state()
         with pytest.raises(ValueError):
-            rho.elements[0, 0] = 0.5
-
-    def test_population_index_range(self):
-        with pytest.raises(IndexError):
-            ground_state().population(0)
-        with pytest.raises(IndexError):
-            ground_state().population(4)
+            rho[0, 0] = 0.5
 
     def test_purity_of_pure_and_mixed(self):
-        assert purity(ground_state().elements) == pytest.approx(1.0, abs=1e-15)
+        assert purity(ground_state()) == pytest.approx(1.0, abs=1e-15)
         assert purity(np.eye(3) / 3.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
+
+
+def _hard(rho0):
+    seq = PulseSequence((Pulse(Channel.OPTICAL12, 0.5 * math.pi, 1e-6),), t_end=2e-6)
+    return run_sequence_hard(rho0, seq, AtomParams(), [0.0])
+
+
+def _rk4(rho0):
+    seq = PulseSequence((Pulse(Channel.OPTICAL12, 0.5 * math.pi, 0.0, 2e-7),), t_end=3e-7)
+    return integrate_sequence(rho0, seq, AtomParams(), dt=1e-9, sample_stride=50)
+
+
+class TestInitialState:
+    """Both engines take rho0 as any 3x3 array-like: they refuse a wrong shape
+    or a non-finite entry with ValueError, and start from a copy of it."""
+
+    ENGINES = (_hard, _rk4)
+
+    def test_rejects_wrong_shape(self):
+        for engine in self.ENGINES:
+            with pytest.raises(ValueError, match="must be 3x3"):
+                engine(np.eye(2))
+
+    def test_rejects_non_finite(self):
+        m = np.eye(3, dtype=complex)
+        m[0, 0] = np.nan
+        for engine in self.ENGINES:
+            with pytest.raises(ValueError, match="non-finite"):
+                engine(m)
+
+    def test_accepts_nested_list(self):
+        nested = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+        for engine in self.ENGINES:
+            _, states = engine(nested)
+            np.testing.assert_array_equal(states[0], ground_state())
+            np.testing.assert_array_equal(states, engine(ground_state())[1])
+
+    def test_leaves_the_callers_array_unchanged(self):
+        rho0 = random_valid_state(np.random.default_rng(4))
+        before = rho0.copy()
+        for engine in self.ENGINES:
+            _, states = engine(rho0)
+            np.testing.assert_array_equal(rho0, before)
+            assert rho0.flags.writeable
+            rho0[0, 0] += 1.0  # the run kept its own copy
+            np.testing.assert_array_equal(states[0], before)
+            rho0[...] = before
 
 
 class TestValidate:
@@ -94,7 +125,7 @@ class TestValidate:
             return m
 
         rng = np.random.default_rng(8)
-        valid = [random_valid_state(rng).elements for _ in range(3)]
+        valid = [random_valid_state(rng) for _ in range(3)]
         short = np.diag([0.75, 0.0, 0.0])
         negative = np.diag([1.5, -0.5, 0.0])
         stack = np.stack([*valid, unpaired(0.5), unpaired(1.0), short, negative])
@@ -108,43 +139,23 @@ class TestValidate:
     def test_random_valid_states_pass(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            assert validate(random_valid_state(rng).elements).ok
+            assert validate(random_valid_state(rng)).ok
 
 
 class TestCoherence:
     def test_fresh_weak_coherence(self):
         rho = after_data(0.1 * math.pi)
         want = -0.5j * math.sin(0.1 * math.pi)
-        assert rho.elements[0, 1] == pytest.approx(want, abs=1e-9)
+        assert rho[0, 1] == pytest.approx(want, abs=1e-9)
 
     def test_half_pi_coherence(self):
         rho = after_data(0.5 * math.pi)
-        assert rho.elements[0, 1] == pytest.approx(-0.5j, abs=1e-12)
+        assert rho[0, 1] == pytest.approx(-0.5j, abs=1e-12)
 
     def test_hermitian_pair(self):
         rng = np.random.default_rng(3)
         rho = random_valid_state(rng)
-        assert rho.elements[1, 0] == pytest.approx(np.conj(rho.elements[0, 1]), abs=1e-15)
-
-
-class TestMaxElementDistance:
-    def test_identical_states(self):
-        assert max_element_distance(ground_state(), ground_state()) == 0.0
-
-    def test_known_distance(self):
-        a = ground_state()
-        m = np.zeros((3, 3), complex)
-        m[1, 1] = 1.0
-        assert max_element_distance(a, DensityMatrix(m)) == pytest.approx(1.0)
-
-    @settings(max_examples=30)
-    @given(seed=st.integers(min_value=0, max_value=2**31))
-    def test_triangle_inequality(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b, c = (random_valid_state(rng) for _ in range(3))
-        assert max_element_distance(a, c) <= (
-            max_element_distance(a, b) + max_element_distance(b, c) + 1e-15
-        )
+        assert rho[1, 0] == pytest.approx(np.conj(rho[0, 1]), abs=1e-15)
 
 
 class TestPulseTypes:

@@ -22,7 +22,7 @@ from cdrecho.sweeps import FIGURE_GRID_STEPS, MAX_SWEEP_STEPS
 PI = math.pi
 SIN_WEAK_HALF = 0.1545084971874737  # sin(0.1 pi) / 2
 
-WEAK = StageAreas(phi_d=0.1 * PI, phi_r1=PI, phi_c1=PI, phi_c2=PI)
+WEAK = StageAreas(phi_d=0.1 * PI, phi_r1=PI, phi_c1=PI, phi_c2=PI, phi_r2=0.0)
 
 # the scalar stage calls, keyed by the sweep's stage names; their parameter
 # names are the area names a sweep of that stage may vary
@@ -39,21 +39,21 @@ SCALAR_STAGES = {
 class TestSweepSpec:
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown stage"):
-            SweepSpec(stage="r9", varying="phi_d", lo=0, hi=1, steps=5)
+            SweepSpec(stage="r9", varying="phi_d", lo=0, hi=1, steps=5, fixed=WEAK)
         with pytest.raises(ValueError, match="has no area"):
-            SweepSpec(stage="r1", varying="phi_c1", lo=0, hi=1, steps=5)
+            SweepSpec(stage="r1", varying="phi_c1", lo=0, hi=1, steps=5, fixed=WEAK)
         with pytest.raises(ValueError, match="lo < hi"):
-            SweepSpec(stage="r1", varying="phi_r1", lo=1, hi=1, steps=5)
+            SweepSpec(stage="r1", varying="phi_r1", lo=1, hi=1, steps=5, fixed=WEAK)
         with pytest.raises(ValueError, match="steps"):
-            SweepSpec(stage="r1", varying="phi_r1", lo=0, hi=1, steps=1)
+            SweepSpec(stage="r1", varying="phi_r1", lo=0, hi=1, steps=1, fixed=WEAK)
 
     def test_steps_are_capped(self):
         # checked at construction, before any grid is allocated
         assert MAX_SWEEP_STEPS == 10**6
-        spec = SweepSpec(stage="r1", varying="phi_r1", lo=0, hi=1, steps=MAX_SWEEP_STEPS)
+        spec = SweepSpec("r1", "phi_r1", lo=0, hi=1, steps=MAX_SWEEP_STEPS, fixed=WEAK)
         assert spec.steps == MAX_SWEEP_STEPS
         with pytest.raises(ValueError, match="steps"):
-            SweepSpec(stage="r1", varying="phi_r1", lo=0, hi=1, steps=MAX_SWEEP_STEPS + 1)
+            SweepSpec("r1", "phi_r1", lo=0, hi=1, steps=MAX_SWEEP_STEPS + 1, fixed=WEAK)
 
 
 class TestRunSweep:
@@ -96,7 +96,7 @@ class TestRunSweep:
         table = run_sweep(SweepSpec(stage, varying, lo, lo + width, steps, areas))
         want = []
         for x in table.rows[:, 0]:
-            rho = solver(*(x if n == varying else getattr(areas, n) for n in names)).elements
+            rho = solver(*(x if n == varying else getattr(areas, n) for n in names))
             want.append(
                 (rho[0, 1].imag, rho[0, 2].real, rho[0, 0].real, rho[1, 1].real, rho[2, 2].real)
             )

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cdrecho import DensityMatrix, verify
+from cdrecho import verify
 from cdrecho.cli import cli_main
 from cdrecho.verify import (
     Check,
@@ -76,7 +76,7 @@ def _chain_fault(monkeypatch, x):
 
     def faulty(areas):
         (label, rho), *rest = real(areas)
-        return [(label, DensityMatrix(_shifted(rho.elements, (0, 1), 1j * x))), *rest]
+        return [(label, _shifted(rho, (0, 1), 1j * x)), *rest]
 
     monkeypatch.setattr(verify, "stage_chain", faulty)
 
@@ -86,7 +86,7 @@ def _recovery_fault(monkeypatch, x):
     real = verify.after_c2
 
     def faulty(*areas):
-        return DensityMatrix(_shifted(real(*areas).elements, (0, 1), x))
+        return _shifted(real(*areas), (0, 1), x)
 
     monkeypatch.setattr(verify, "after_c2", faulty)
 
@@ -196,7 +196,8 @@ class TestChecksCatchFaults:
     ):
         fault(monkeypatch, factor * bound)
         got = check()
-        assert got.ok == (factor < 1.0)
+        assert got.ok is (factor < 1.0)
+        assert type(got.deviation) is float
         if printed:
             assert got.tolerance == bound
             assert got.deviation == pytest.approx(factor * bound, rel=1e-2)
