@@ -18,7 +18,7 @@ from .ensemble import (
     simulate_ensemble,
     time_grid,
 )
-from .integrator import DriveSample, integrate_sequence
+from .integrator import integrate_sequence
 from .seqfile import SequenceFileError, parse_sequence_file
 from .stages import (
     StageAreas,
@@ -40,7 +40,6 @@ __all__ = [
     "AtomParams",
     "Channel",
     "CsvWriteError",
-    "DriveSample",
     "EchoEvent",
     "EchoReport",
     "EnsembleSpec",

@@ -23,25 +23,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from collections.abc import Iterator
 
 import numpy as np
 
 from .states import AtomParams, Channel, PulseSequence, _as_state_array
 
-__all__ = ["DriveSample", "integrate_sequence"]
-
-
-@dataclass(frozen=True)
-class DriveSample:
-    """Instantaneous Rabi frequencies (rad/s) on the two channels."""
-
-    omega_j: float = 0.0
-    omega_k: float = 0.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.omega_j) or not math.isfinite(self.omega_k):
-            raise ValueError("drive amplitudes must be finite")
+__all__ = ["integrate_sequence"]
 
 
 def _rhs_elements(rho: np.ndarray, omega_j, omega_k, atom: AtomParams) -> np.ndarray:
@@ -90,14 +78,14 @@ def _hermitian_checked(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _step_minus_one(drive: DriveSample, atom: AtomParams, h: float) -> np.ndarray:
+def _step_minus_one(omega_j: float, omega_k: float, atom: AtomParams, h: float) -> np.ndarray:
     """E = T(hL) - 1 = hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24 for one RK4 step
     T of the constant-drive generator L acting on the row-major vec(rho).
 
     E is kept apart from the identity, so its entries round relative to
     their own size, not to 1."""
     units = np.eye(9, dtype=complex).reshape(9, 3, 3)
-    x = h * _rhs_elements(units, drive.omega_j, drive.omega_k, atom).reshape(9, 9).T
+    x = h * _rhs_elements(units, omega_j, omega_k, atom).reshape(9, 9).T
     e = np.zeros((9, 9), dtype=complex)
     for k in (4, 3, 2, 1):
         e = (x + x @ e) / k
@@ -117,25 +105,19 @@ def _power_minus_one(e: np.ndarray, k: int) -> np.ndarray:
         e = 2.0 * e + e @ e
 
 
-def _segments(seq: PulseSequence) -> list[tuple[float, float, DriveSample]]:
-    """Split [0, t_end] at pulse edges; drive is constant on each segment."""
-    edges = {0.0, seq.t_end}
+def _segments(seq: PulseSequence) -> Iterator[tuple[float, float, float, float]]:
+    """Walk [0, t_end] as the gap before each pulse, the pulse, then the tail,
+    yielding (start, end, omega_j, omega_k): the drive is constant on each
+    piece and zero in the gaps. A gap may be empty."""
+    now = 0.0
     for p in seq.pulses:
-        edges.add(p.t_start)
-        edges.add(p.t_end)
-    cuts = sorted(edges)
-    segs = []
-    for a, b in zip(cuts, cuts[1:]):
-        mid = 0.5 * (a + b)
-        oj = ok = 0.0
-        for p in seq.pulses:
-            if p.t_start <= mid < p.t_end:
-                if p.channel is Channel.OPTICAL12:
-                    oj = p.rabi_frequency
-                else:
-                    ok = p.rabi_frequency
-        segs.append((a, b, DriveSample(oj, ok)))
-    return segs
+        yield now, p.t_start, 0.0, 0.0
+        if p.channel is Channel.OPTICAL12:
+            yield p.t_start, p.t_end, p.rabi_frequency, 0.0
+        else:
+            yield p.t_start, p.t_end, 0.0, p.rabi_frequency
+        now = p.t_end
+    yield now, seq.t_end, 0.0, 0.0
 
 
 def integrate_sequence(
@@ -148,9 +130,10 @@ def integrate_sequence(
     """Integrate a finite-duration pulse sequence over [0, t_end] from rho0,
     any 3x3 array-like.
 
-    Requires every pulse duration > 0 and dt no coarser than a hundredth of
-    the shortest pulse. Segment lengths are divided into whole steps, so the
-    trajectory lands exactly on every pulse edge. Returns (times, states):
+    Requires every pulse duration > 0 with a finite Rabi frequency, and dt no
+    coarser than a hundredth of the shortest pulse. Segment lengths are
+    divided into whole steps, so the trajectory lands exactly on every pulse
+    edge. Returns (times, states):
     the (n,) sample times and the read-only (n, 3, 3) states, one every
     sample_stride steps plus all segment edges, starting with (0, rho0).
 
@@ -171,20 +154,21 @@ def integrate_sequence(
     durations = [p.duration for p in seq.pulses]
     if any(d == 0.0 for d in durations):
         raise ValueError("integrate_sequence requires finite pulse durations")
-    if durations and dt > min(durations) / 100.0:
-        raise ValueError(
-            f"dt={dt} too coarse; need <= {min(durations) / 100.0} "
-            "(shortest pulse / 100)"
-        )
+    if durations:
+        limit = min(durations) / 100
+        if dt > limit:
+            raise ValueError(f"dt={dt} too coarse; need <= {limit} (shortest pulse / 100)")
+    if not all(math.isfinite(p.rabi_frequency) for p in seq.pulses):
+        raise ValueError("drive amplitudes must be finite")
 
     times, states = [0.0], [rho]
-    for a, b, drive in _segments(seq):
+    for a, b, omega_j, omega_k in _segments(seq):
         span = b - a
         if span <= 0:
             continue
         n = max(1, math.ceil(span / dt - 1e-9))
         h = span / n
-        step = _step_minus_one(drive, atom, h)
+        step = _step_minus_one(omega_j, omega_k, atom, h)
         stride = min(sample_stride, n)
         by_stride = _power_minus_one(step, stride)
         ends = [*range(stride, n, stride), n]

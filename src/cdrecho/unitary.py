@@ -143,22 +143,25 @@ def run_sequence_hard(
     rho0,
     seq: PulseSequence,
     atom: AtomParams,
-    sample_times: Iterable[float] = (),
+    sample_times: Iterable[float],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evolve rho0, any 3x3 array-like, through a hard-pulse sequence
     starting at t = 0.
 
-    Returns (times, states): the (n,) times and the read-only (n, 3, 3)
-    states at every requested sample time and at every pulse instant, in
-    time order; the entry at a pulse instant is the post-pulse state, and a
-    sample landing exactly on a pulse instant is merged into that entry.
-    The atom runs as a batch of one through `stretches`. Decay is ignored
-    here; use the integrator for damped dynamics.
+    Returns (times, states): the requested sample times, sorted, and the
+    read-only (n, 3, 3) states at them. A sample at a pulse instant reads the
+    state after every pulse at that instant. The atom runs as a batch of one
+    through `stretches`. An atom with decay is refused; `integrate_sequence`
+    takes damped dynamics.
     """
     rho0 = _as_state_array(rho0)
     for p in seq.pulses:
         if not p.is_hard:
             raise ValueError("run_sequence_hard requires zero-duration pulses")
+    if any(atom.gamma):
+        raise ValueError(
+            f"run_sequence_hard has no decay, got gamma={atom.gamma}; use integrate_sequence"
+        )
     samples = np.array(sorted(float(t) for t in sample_times))
     bad = samples[~np.isfinite(samples)]
     if bad.size:
@@ -167,19 +170,12 @@ def run_sequence_hard(
         raise ValueError("sample times must be >= 0")
 
     lam = np.array([[0.0, atom.delta, atom.delta_s]])
-    times: list[np.ndarray] = []
     states: list[np.ndarray] = []
     idx = 0
-    walk = stretches(seq, lam[:, 1], lam[:, 2], rho0[None])
-    for k, (start, end, rho, _) in enumerate(walk):
-        if k:  # every stretch after the first opens at a pulse instant
-            times.append(np.array([start]))
-            states.append(rho)
-            idx = int(np.searchsorted(samples, start, side="right"))
+    for start, end, rho, _ in stretches(seq, lam[:, 1], lam[:, 2], rho0[None]):
         j = int(np.searchsorted(samples, end, side="left"))
-        times.append(samples[idx:j])
         states.append(_free_rotation(rho, lam, samples[idx:j, None] - start))
         idx = j
     out = np.concatenate(states)
     out.setflags(write=False)
-    return np.concatenate(times), out
+    return samples, out

@@ -9,13 +9,13 @@ the worst deviation against a fixed tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .area import propagate_area
 from .integrator import _rhs_elements, integrate_sequence
-from .stages import CANONICAL, HALF_PI, StageAreas, after_c2, after_r1, stage_chain
+from .stages import CANONICAL, HALF_PI, after_c2, after_r1, after_r2_cdr, stage_chain
 from .states import AtomParams, Channel, Pulse, PulseSequence, ground_state
 from .unitary import run_sequence_hard
 
@@ -41,17 +41,13 @@ class Check:
         )
 
 
-def _chain_im12(areas: StageAreas) -> list[float]:
-    return [float(state[0, 1].imag) for _, state in stage_chain(areas)]
-
-
 def check_weak_chain() -> Check:
     """Stage coherences for the weak data pulse against their exact values."""
     a = 0.5 * math.sin(0.1 * PI)
     expected = [-a, +a, 0.0, -a, +a]
-    got = _chain_im12(CANONICAL)
-    final = stage_chain(CANONICAL)[-1][1]
-    devs = [abs(g - e) for g, e in zip(got, expected)]
+    chain = stage_chain(CANONICAL)
+    final = chain[-1][1]
+    devs = [abs(float(state[0, 1].imag) - e) for (_, state), e in zip(chain, expected)]
     devs.append(abs(float(final[2, 2].real)))
     devs.append(abs(float(final[1, 1].real) - math.sin(0.05 * PI) ** 2))
     dev = max(devs)
@@ -61,8 +57,8 @@ def check_weak_chain() -> Check:
 def check_half_pi_chain() -> Check:
     """Stage coherences for a pi/2 data pulse: -1/2, +1/2, 0, -1/2, +1/2."""
     expected = [-0.5, +0.5, 0.0, -0.5, +0.5]
-    got = _chain_im12(HALF_PI)
-    dev = max(abs(g - e) for g, e in zip(got, expected))
+    chain = stage_chain(HALF_PI)
+    dev = max(abs(float(state[0, 1].imag) - e) for (_, state), e in zip(chain, expected))
     return Check("half-pi-chain", dev <= 1e-9, dev, 1e-9)
 
 
@@ -100,9 +96,10 @@ def _canonical_sequence(duration: float) -> PulseSequence:
 
 def check_engine_agreement() -> Check:
     """Closed forms, hard-pulse unitaries and RK4 give one final state."""
-    analytic = stage_chain(CANONICAL)[-1][1]
+    analytic = after_r2_cdr(*astuple(CANONICAL))
     atom = AtomParams()
-    _, hard = run_sequence_hard(ground_state(), _canonical_sequence(0.0), atom)
+    seq = _canonical_sequence(0.0)
+    _, hard = run_sequence_hard(ground_state(), seq, atom, [seq.t_end])
     _, states = integrate_sequence(
         ground_state(), _canonical_sequence(1e-6), atom, dt=1e-9, sample_stride=50
     )

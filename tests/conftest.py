@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from cdrecho import (
     AtomParams,
     Channel,
-    DriveSample,
     Pulse,
     PulseSequence,
     ground_state,
@@ -101,23 +100,23 @@ def purity(states: np.ndarray):
     return np.trace(states @ states, axis1=-2, axis2=-1).real
 
 
-def rhs(rho: np.ndarray, drive: DriveSample, atom: AtomParams) -> np.ndarray:
-    """d(rho)/dt for the given instantaneous drive and atom parameters."""
-    return _rhs_elements(rho, drive.omega_j, drive.omega_k, atom)
+def rhs(rho: np.ndarray, omega_j, omega_k, atom: AtomParams) -> np.ndarray:
+    """d(rho)/dt for the Rabi frequencies omega_j, omega_k (rad/s) and the atom."""
+    return _rhs_elements(rho, omega_j, omega_k, atom)
 
 
 def rk4_step(
-    rho: np.ndarray, dt: float, drive: DriveSample, atom: AtomParams
+    rho: np.ndarray, dt: float, omega_j: float, omega_k: float, atom: AtomParams
 ) -> np.ndarray:
-    """One classical RK4 step of length dt under a constant drive: the
-    textbook one-step form the integrator's step matrices are tested against."""
+    """One classical RK4 step of length dt under the constant Rabi frequencies
+    omega_j, omega_k: the textbook one-step form the integrator's step
+    matrices are tested against."""
     if dt <= 0 or not math.isfinite(dt):
         raise ValueError("dt must be positive and finite")
-    oj, ok = drive.omega_j, drive.omega_k
-    k1 = _rhs_elements(rho, oj, ok, atom)
-    k2 = _rhs_elements(rho + 0.5 * dt * k1, oj, ok, atom)
-    k3 = _rhs_elements(rho + 0.5 * dt * k2, oj, ok, atom)
-    k4 = _rhs_elements(rho + dt * k3, oj, ok, atom)
+    k1 = _rhs_elements(rho, omega_j, omega_k, atom)
+    k2 = _rhs_elements(rho + 0.5 * dt * k1, omega_j, omega_k, atom)
+    k3 = _rhs_elements(rho + 0.5 * dt * k2, omega_j, omega_k, atom)
+    k4 = _rhs_elements(rho + dt * k3, omega_j, omega_k, atom)
     return _hermitian_checked(rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
@@ -188,12 +187,10 @@ def comb_route(seq, spec, times):
 
 
 def hard_states(seq, delta, times):
-    """One atom's (n_t, 3, 3) states at times from run_sequence_hard; a sample
-    at a pulse instant reads the state after every pulse at that instant."""
+    """One atom's (n_t, 3, 3) states at the sorted times from run_sequence_hard."""
     t, states = run_sequence_hard(ground_state(), seq, AtomParams(delta=delta), times)
-    last = np.searchsorted(t, times, side="right") - 1
-    np.testing.assert_array_equal(t[last], times)
-    return _checked(states)[last]
+    np.testing.assert_array_equal(t, times)
+    return _checked(states)
 
 
 def eigh_states(seq, delta, times):

@@ -18,7 +18,6 @@ from conftest import purity, rhs
 
 from cdrecho import (
     AtomParams,
-    DriveSample,
     FigureId,
     StageAreas,
     detect_echoes,
@@ -116,7 +115,8 @@ def test_04_three_engines_agree():
     atom = AtomParams()
     analytic = stage_chain(CANONICAL)[-1][1]
 
-    _, hard = run_sequence_hard(ground_state(), _canonical_sequence(0.0), atom)
+    seq = _canonical_sequence(0.0)
+    _, hard = run_sequence_hard(ground_state(), seq, atom, [seq.t_end])
     _, traj = integrate_sequence(
         ground_state(), _canonical_sequence(1e-6), atom, dt=1e-9, sample_stride=50
     )
@@ -153,7 +153,7 @@ def test_05_rate_equations_match_commutator():
             [[0.0, oj, 0.0], [oj, 0.0, ok_], [0.0, ok_, 0.0]], dtype=complex
         )
         want = -1j * (h @ m - m @ h)
-        got = rhs(m, DriveSample(omega_j=oj, omega_k=ok_), atom)
+        got = rhs(m, oj, ok_, atom)
         worst = max(worst, float(np.abs(got - want).max()))
     ok = worst <= 1e-14
     report("rate-equations", ok, f"worst element {worst:.3e} (tol 1e-14)")

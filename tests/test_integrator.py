@@ -1,6 +1,7 @@
 """RK4 master-equation integrator pinned against independent oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,25 +13,25 @@ from conftest import purity, random_valid_state, rhs, rk4_step, sequences
 from cdrecho import (
     AtomParams,
     Channel,
-    DriveSample,
     Pulse,
     PulseSequence,
     ground_state,
     integrate_sequence,
     run_sequence_hard,
 )
+from cdrecho import integrator
 from cdrecho.integrator import _rhs_elements, _segments
 
 PI = math.pi
 
 
-def oracle_rhs(rho: np.ndarray, drive: DriveSample, atom: AtomParams) -> np.ndarray:
+def oracle_rhs(rho: np.ndarray, oj: float, ok: float, atom: AtomParams) -> np.ndarray:
     """Commutator form of the same master equation, built independently."""
     h = np.array(
         [
-            [0.0, -0.5 * drive.omega_j, 0.0],
-            [-0.5 * drive.omega_j, atom.delta, -0.5 * drive.omega_k],
-            [0.0, -0.5 * drive.omega_k, atom.delta_s],
+            [0.0, -0.5 * oj, 0.0],
+            [-0.5 * oj, atom.delta, -0.5 * ok],
+            [0.0, -0.5 * ok, atom.delta_s],
         ],
         dtype=complex,
     )
@@ -45,38 +46,38 @@ class TestRhs:
         worst = 0.0
         for _ in range(100):
             rho = random_valid_state(rng)
-            drive = DriveSample(*rng.uniform(-1e7, 1e7, 2))
+            oj, ok = rng.uniform(-1e7, 1e7, 2)
             atom = AtomParams(
                 delta=rng.uniform(-1e7, 1e7),
                 delta_s=rng.uniform(-1e7, 1e7),
                 gamma=tuple(rng.uniform(0, 1e5, 3)),
             )
-            dev = np.max(np.abs(rhs(rho, drive, atom) - oracle_rhs(rho, drive, atom)))
-            worst = max(worst, dev / max(1.0, abs(drive.omega_j), abs(drive.omega_k)))
+            dev = np.max(np.abs(rhs(rho, oj, ok, atom) - oracle_rhs(rho, oj, ok, atom)))
+            worst = max(worst, dev / max(1.0, abs(oj), abs(ok)))
         assert worst <= 1e-14
 
     def test_derivative_stays_hermitian(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
             rho = random_valid_state(rng)
-            d = rhs(rho, DriveSample(1e6, 5e5), AtomParams(delta=2e5, gamma=(0, 1e3, 0)))
+            d = rhs(rho, 1e6, 5e5, AtomParams(delta=2e5, gamma=(0, 1e3, 0)))
             np.testing.assert_allclose(d, d.conj().T, atol=1e-20)
 
     def test_trace_preserved_without_decay(self):
         rng = np.random.default_rng(44)
-        drive = DriveSample(3e6, 2e6)
+        oj, ok = 3e6, 2e6
         # cancellation noise scales with the drive magnitude
-        tol = 1e-14 * (abs(drive.omega_j) + abs(drive.omega_k))
+        tol = 1e-14 * (abs(oj) + abs(ok))
         for _ in range(20):
             rho = random_valid_state(rng)
-            d = rhs(rho, drive, AtomParams(delta=1e6, delta_s=2e5))
+            d = rhs(rho, oj, ok, AtomParams(delta=1e6, delta_s=2e5))
             assert abs(np.trace(d)) <= tol
 
     def test_population_loss_rates(self):
         # with no drive each population decays at its own rate
         rho = np.diag([0.2, 0.5, 0.3]).astype(complex)
         atom = AtomParams(gamma=(10.0, 20.0, 30.0))
-        d = rhs(rho, DriveSample(), atom)
+        d = rhs(rho, 0.0, 0.0, atom)
         assert d[0, 0].real == pytest.approx(-10.0 * 0.2, abs=1e-12)
         assert d[1, 1].real == pytest.approx(-20.0 * 0.5, abs=1e-12)
         assert d[2, 2].real == pytest.approx(-30.0 * 0.3, abs=1e-12)
@@ -99,7 +100,7 @@ class TestRhs:
         atom = AtomParams(delta=delta, delta_s=delta_s, gamma=gamma)
         batch = _rhs_elements(np.stack(states), omega_j, omega_k, atom)
         for got, rho, (_, oj, ok) in zip(batch, states, cases):
-            np.testing.assert_array_equal(got, rhs(rho, DriveSample(oj, ok), atom))
+            np.testing.assert_array_equal(got, rhs(rho, oj, ok, atom))
 
 
 class TestRk4Step:
@@ -110,14 +111,14 @@ class TestRk4Step:
         dt = 1e-9
         stepped = rho
         for _ in range(100):
-            stepped = rk4_step(stepped, dt, DriveSample(), atom)
+            stepped = rk4_step(stepped, dt, 0.0, 0.0, atom)
         free = PulseSequence(pulses=(), t_end=100 * dt)
         exact = run_sequence_hard(rho, free, atom, [100 * dt])[1][-1]
         assert np.abs(stepped - exact).max() <= 1e-13
 
     def test_fourth_order_convergence(self):
         atom = AtomParams(delta=2 * PI * 1e6)
-        drive = DriveSample(omega_j=2 * PI * 1e6)
+        oj = 2 * PI * 1e6
         rho0 = ground_state()
         span = 1e-6
 
@@ -125,7 +126,7 @@ class TestRk4Step:
             rho = rho0
             h = span / n
             for _ in range(n):
-                rho = rk4_step(rho, h, drive, atom)
+                rho = rk4_step(rho, h, oj, 0.0, atom)
             return rho
 
         coarse = err(40)
@@ -138,9 +139,9 @@ class TestRk4Step:
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
-            rk4_step(ground_state(), 0.0, DriveSample(), AtomParams())
+            rk4_step(ground_state(), 0.0, 0.0, 0.0, AtomParams())
         with pytest.raises(ValueError):
-            rk4_step(ground_state(), -1e-9, DriveSample(), AtomParams())
+            rk4_step(ground_state(), -1e-9, 0.0, 0.0, AtomParams())
 
     def test_exponential_population_decay(self):
         excited = np.zeros((3, 3), complex)
@@ -149,7 +150,7 @@ class TestRk4Step:
         rho = excited
         dt = 1e-8
         for _ in range(1000):
-            rho = rk4_step(rho, dt, DriveSample(), atom)
+            rho = rk4_step(rho, dt, 0.0, 0.0, atom)
         assert rho[1, 1].real == pytest.approx(math.exp(-1e5 * 1e-5), rel=1e-9)
 
 
@@ -282,8 +283,21 @@ class TestIntegrateSequence:
         times, _ = integrate_sequence(ground_state(), seq, AtomParams(), dt=edge)
         assert times[-1] == seq.t_end
         coarser = np.nextafter(edge, 1.0)
-        with pytest.raises(ValueError, match="coarse"):
+        with pytest.raises(ValueError, match="coarse") as err:
             integrate_sequence(ground_state(), seq, AtomParams(), dt=coarser)
+        # the message prints the bound it compared against
+        assert float(re.search(r"need <= (\S+) ", str(err.value))[1]) == edge
+
+    def test_non_finite_rabi_frequency_refused_before_any_step(self, monkeypatch):
+        # 1e300 rad over 0.1 ns is a Rabi frequency of inf rad/s
+        seq = self._square_pulse_seq(1e300, 1e-10)
+
+        def no_step(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(integrator, "_step_minus_one", no_step)
+        with pytest.raises(ValueError, match="drive amplitudes must be finite"):
+            integrate_sequence(ground_state(), seq, AtomParams(), dt=1e-12)
 
     def test_sample_stride_thins_output_but_keeps_edges(self):
         seq = self._square_pulse_seq(PI, 1e-6, t_end=2e-6)
@@ -295,18 +309,57 @@ class TestIntegrateSequence:
         assert {0.0, 1e-6, 2e-6} <= set(thin.tolist())
 
 
+def midpoint_segments(seq):
+    """[0, t_end] cut at every pulse edge, each non-empty piece's drive found
+    by scanning every pulse at the piece's midpoint: (start, end, oj, ok)."""
+    edges = {0.0, seq.t_end, *(p.t_start for p in seq.pulses), *(p.t_end for p in seq.pulses)}
+    cuts = sorted(edges)
+    out = []
+    for a, b in zip(cuts, cuts[1:]):
+        mid = 0.5 * (a + b)
+        oj = ok = 0.0
+        for p in seq.pulses:
+            if p.t_start <= mid < p.t_end:
+                if p.channel is Channel.OPTICAL12:
+                    oj = p.rabi_frequency
+                else:
+                    ok = p.rabi_frequency
+        out.append((a, b, oj, ok))
+    return out
+
+
+class TestSegments:
+    @given(case=sequences("square"))
+    def test_walks_gaps_and_pulses(self, case):
+        seq, _ = case
+        pieces = list(_segments(seq))
+        # the pieces tile [0, t_end] edge to edge
+        assert pieces[0][0] == 0.0 and pieces[-1][1] == seq.t_end
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(pieces, pieces[1:]))
+        # each pulse is one piece, driving its own channel; every gap is undriven
+        gaps, pulses = pieces[0::2], pieces[1::2]
+        assert len(pulses) == len(seq.pulses)
+        for (a, b, oj, ok), p in zip(pulses, seq.pulses):
+            assert (a, b) == (p.t_start, p.t_end)
+            optical = p.channel is Channel.OPTICAL12
+            assert (oj, ok) == ((p.rabi_frequency, 0.0) if optical else (0.0, p.rabi_frequency))
+        assert all((oj, ok) == (0.0, 0.0) for _, _, oj, ok in gaps)
+        # the non-empty pieces are the edge-set cut with its midpoint drives
+        assert [piece for piece in pieces if piece[1] > piece[0]] == midpoint_segments(seq)
+
+
 def rk4_loop(rho0, seq, atom, dt, stride):
     """integrate_sequence written as a plain loop of rk4_step calls, from a
     3x3 array; returns its list of (t, state) pairs."""
     out = [(0.0, rho0)]
     rho = rho0
-    for a, b, drive in _segments(seq):
+    for a, b, oj, ok in _segments(seq):
         if b <= a:
             continue
         n = max(1, math.ceil((b - a) / dt - 1e-9))
         h = (b - a) / n
         for i in range(n):
-            rho = rk4_step(rho, h, drive, atom)
+            rho = rk4_step(rho, h, oj, ok, atom)
             if (i + 1) % stride == 0 or i == n - 1:
                 out.append((b if i == n - 1 else a + (i + 1) * h, rho))
     return out

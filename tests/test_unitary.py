@@ -55,9 +55,6 @@ def hard_loop(rho0, seq, atom, sample_times):
         now = p.t_start
         u = pulse_unitary(p.channel, p.area)
         m = u @ m @ u.conj().T
-        while idx < len(samples) and samples[idx] == now:
-            idx += 1
-        out.append((now, m))
     out += [(t, free(m, t - now)) for t in samples[idx:]]
     return out
 
@@ -173,7 +170,9 @@ class TestRunSequenceHard:
             ),
             t_end=4.5e-5,
         )
-        _, boundaries = run_sequence_hard(ground_state(), seq, AtomParams())
+        instants = [p.t_start for p in seq.pulses]
+        times, boundaries = run_sequence_hard(ground_state(), seq, AtomParams(), instants)
+        assert times.tolist() == instants
         chain = stage_chain(areas)
         assert len(boundaries) == len(chain)
         for got, (_, want) in zip(boundaries, chain):
@@ -240,7 +239,15 @@ class TestRunSequenceHard:
             pulses=(Pulse(Channel.OPTICAL12, PI, 0.0, duration=1e-6),), t_end=1e-5
         )
         with pytest.raises(ValueError):
-            run_sequence_hard(ground_state(), seq, AtomParams())
+            run_sequence_hard(ground_state(), seq, AtomParams(), [seq.t_end])
+
+    @pytest.mark.parametrize("level", range(3))
+    def test_decay_is_refused(self, level):
+        gamma = [0.0, 0.0, 0.0]
+        gamma[level] = 1e3
+        seq = PulseSequence(pulses=(Pulse(Channel.OPTICAL12, PI, 1e-6),), t_end=2e-6)
+        with pytest.raises(ValueError, match="use integrate_sequence"):
+            run_sequence_hard(ground_state(), seq, AtomParams(gamma=tuple(gamma)), [seq.t_end])
 
 
 class TestSquareEigen:
