@@ -32,7 +32,7 @@ from .stages import (
 )
 from .states import AtomParams, Channel, Pulse, PulseSequence, ground_state
 from .sweeps import FigureId, SweepSpec, figure_dataset, run_sweep
-from .unitary import pulse_unitary, run_sequence_hard
+from .unitary import run_sequence_hard
 
 __version__ = "0.1.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "parse_sequence_file",
     "predict_echo_times",
     "propagate_area",
-    "pulse_unitary",
     "render_csv",
     "run_sequence_hard",
     "run_sweep",

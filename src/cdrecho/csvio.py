@@ -25,7 +25,7 @@ class CsvWriteError(ValueError):
         self.code = code
 
 
-def format_float(x: float) -> str:
+def _format_float(x: float) -> str:
     """12-significant-digit decimal form; rejects NaN and infinities."""
     if not math.isfinite(x):
         raise CsvWriteError("NON_FINITE_VALUE", f"refusing to serialize {x!r}")
@@ -51,9 +51,6 @@ class Table:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "columns", tuple(self.columns))
         object.__setattr__(self, "meta", tuple((str(k), str(v)) for k, v in self.meta))
-
-    def column(self, name: str) -> np.ndarray:
-        return self.rows[:, self.columns.index(name)]
 
 
 def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,7 +94,7 @@ def render_csv(table: Table) -> str:
 
     One % call fills the file's template (a call per row costs about 20 %
     more); a long run of repeated cells is formatted once, in the template.
-    The bytes are those of format_float on every cell.
+    The bytes are those of _format_float on every cell.
     """
     head = []
     if table.meta:
@@ -106,7 +103,7 @@ def render_csv(table: Table) -> str:
     rows = table.rows
     bad = rows[~np.isfinite(rows)]
     if bad.size:
-        format_float(bad[0])  # raises NON_FINITE_VALUE for the first, in row order
+        _format_float(bad[0])  # raises NON_FINITE_VALUE for the first, in row order
     template, values = _template(head, rows)  # its lines and masks are freed before %
     return template % values
 

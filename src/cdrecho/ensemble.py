@@ -299,7 +299,7 @@ def _phase_sum(
     return out.reshape(size, n_blocks, -1).swapaxes(0, 1).reshape(n_blocks * size, -1)[:n]
 
 
-TRACE_BUDGET_BYTES = 2 * 1024**3  # the largest trace_bytes an echo run may take on
+_TRACE_BUDGET_BYTES = 2 * 1024**3  # the largest trace_bytes an echo run may take on
 
 
 def trace_bytes(n_atoms: float, n_t: float, pulse_samples: float) -> float:
@@ -333,12 +333,12 @@ def trace_bytes(n_atoms: float, n_t: float, pulse_samples: float) -> float:
 
 
 def check_trace_budget(n_atoms: float, n_t: float, pulse_samples: float) -> None:
-    """Raise ValueError if trace_bytes passes TRACE_BUDGET_BYTES."""
+    """Raise ValueError if trace_bytes passes _TRACE_BUDGET_BYTES."""
     need = trace_bytes(n_atoms, n_t, pulse_samples)
-    if need > TRACE_BUDGET_BYTES:
+    if need > _TRACE_BUDGET_BYTES:
         raise ValueError(
             f"{n_atoms} atoms over {n_t:.3g} samples need about {need / 2**30:.3g} GiB, "
-            f"past the {TRACE_BUDGET_BYTES / 2**30:g} GiB budget"
+            f"past the {_TRACE_BUDGET_BYTES / 2**30:g} GiB budget"
         )
 
 
@@ -429,7 +429,7 @@ def simulate_ensemble(
     times must be a uniform grid from >= 0, strictly increasing and bit for
     bit np.linspace(times[0], times[-1], times.size), as time_grid's output
     and a single instant are. Other times, and a run whose trace_bytes
-    estimate passes TRACE_BUDGET_BYTES, raise ValueError before any array of
+    estimate passes _TRACE_BUDGET_BYTES, raise ValueError before any array of
     the comb exists.
     """
     times = np.asarray(times, dtype=float)

@@ -54,7 +54,7 @@ class SequenceFileError(ValueError):
         self.code = code
 
 
-def default_dt(spec: EnsembleSpec) -> float:
+def _default_dt(spec: EnsembleSpec) -> float:
     """40 samples per period of the largest comb detuning, in seconds."""
     edge_hz = spec.span * spec.sigma / TWO_PI
     if edge_hz <= 0:
@@ -166,7 +166,7 @@ def parse_sequence_file(text: str) -> tuple[PulseSequence, EnsembleSpec, np.ndar
         if dt <= 0:
             raise SequenceFileError("INVALID_VALUE", "dt must be positive")
     else:
-        dt = default_dt(spec)
+        dt = _default_dt(spec)
         if not 0.0 < dt < math.inf:
             raise SequenceFileError(
                 "INVALID_VALUE",

@@ -71,6 +71,11 @@ class Pulse:
             raise ValueError("pulse t_start must be finite and >= 0")
         if not math.isfinite(self.duration) or self.duration < 0:
             raise ValueError("pulse duration must be finite and >= 0")
+        if self.duration > 0 and self.t_end == self.t_start:
+            raise ValueError(
+                f"pulse duration {self.duration!r} s is too short to move "
+                f"t_start {self.t_start!r} s"
+            )
 
     @property
     def t_end(self) -> float:

@@ -3,7 +3,9 @@
 The drive is piecewise constant, so every stretch of a sequence has a
 closed-form 3x3 propagator. A hard pulse of area phi on a channel is the
 zero-duration limit of a square resonant pulse: a rotation by phi in the
-driven two-level subspace, identity on the spectator level. Free evolution
+driven two-level subspace, [[cos(phi/2), i sin(phi/2)], [i sin(phi/2),
+cos(phi/2)]], which puts a fresh ground-state coherence at
+rho12 = -(i/2) sin(phi), and identity on the spectator level. Free evolution
 only rotates coherence phases; the optical level carries delta, the spin
 level carries delta_s, so a coherence parked on |1>-|3> stands still when
 delta_s = 0. A square pulse is U(tau) = V exp(-i w tau) V^T, where its
@@ -22,29 +24,10 @@ import numpy as np
 
 from .states import AtomParams, Channel, Pulse, PulseSequence, _as_state_array
 
-__all__ = [
-    "pulse_unitary",
-    "stretches",
-    "run_sequence_hard",
-]
+__all__ = ["stretches", "run_sequence_hard"]
 
 # The two levels (0-based) that each channel couples; the third is a spectator.
 _LEVELS = {Channel.OPTICAL12: (0, 1), Channel.CONTROL23: (1, 2)}
-
-
-def pulse_unitary(channel: Channel, area: float) -> np.ndarray:
-    """Unitary for a hard pulse of the given area (radians) on a channel.
-
-    The driven 2x2 block is [[cos(a/2), i sin(a/2)], [i sin(a/2), cos(a/2)]];
-    this sign puts a fresh ground-state coherence at rho12 = -(i/2) sin(a).
-    """
-    if channel not in _LEVELS:
-        raise ValueError(f"unknown channel {channel!r}")
-    a, b = _LEVELS[channel]
-    u = np.eye(3, dtype=complex)
-    u[a, a] = u[b, b] = np.cos(area / 2.0)
-    u[a, b] = u[b, a] = 1j * np.sin(area / 2.0)
-    return u
 
 
 def _free_rotation(
@@ -59,11 +42,9 @@ def _free_rotation(
     return u[:, :, None] * rho * np.conj(u)[:, None, :]
 
 
-def _square_eigen(
-    p: Pulse, deltas: np.ndarray, delta_s: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _square_eigen(p: Pulse, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (w, v) of the constant, real-symmetric Hamiltonian of a square
-    pulse, H = diag(0, delta, delta_s) - (Omega/2) coupling, batched over the atoms.
+    pulse, H = diag(lam) - (Omega/2) coupling, for each atom's level energies lam.
 
     The channel couples levels (a, b) with energies A and B; the spectator keeps
     its energy and unit vector. The pair's eigenvalues are (A + B)/2 +- W/2 with
@@ -72,14 +53,14 @@ def _square_eigen(
     v[b, a] = -v[a, b] = sin(theta). This form holds for any Omega / (A - B),
     including A = B.
     """
-    w = np.column_stack([np.zeros(deltas.size), deltas, delta_s])
     a, b = _LEVELS[p.channel]
-    diff = w[:, a] - w[:, b]
-    mid = 0.5 * (w[:, a] + w[:, b])
+    diff = lam[:, a] - lam[:, b]
+    mid = 0.5 * (lam[:, a] + lam[:, b])
     half = 0.5 * np.hypot(diff, p.rabi_frequency)
     theta = 0.5 * np.arctan2(-p.rabi_frequency, diff)
+    w = lam.copy()
     w[:, a], w[:, b] = mid + half, mid - half
-    v = np.zeros((deltas.size, 3, 3))
+    v = np.zeros((lam.shape[0], 3, 3))
     v[:, 3 - a - b, 3 - a - b] = 1.0
     v[:, a, a] = v[:, b, b] = np.cos(theta)
     v[:, b, a] = np.sin(theta)
@@ -87,15 +68,16 @@ def _square_eigen(
     return w, v
 
 
-def _rotate(m: np.ndarray, a: int, b: int, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """R m R^T for a batch of (n, 3, 3) matrices, element-wise, where R is the
+def _rotate(m: np.ndarray, a: int, b: int, cos, sin) -> np.ndarray:
+    """R m R^H for a batch of (n, 3, 3) matrices, element-wise, where R is the
     identity but for rows a and b: (R m)_a = cos m_a + sin m_b and
-    (R m)_b = cos m_b - sin m_a, with per-atom (n,) cos and sin."""
-    c, s = cos[:, None], sin[:, None]
+    (R m)_b = cos m_b - conj(sin) m_a. cos is real and sin real or complex,
+    each a scalar or one value per atom."""
+    c, s = np.reshape(cos, (-1, 1)), np.reshape(sin, (-1, 1))
     out = m.copy()
-    out[:, a], out[:, b] = c * m[:, a] + s * m[:, b], c * m[:, b] - s * m[:, a]
+    out[:, a], out[:, b] = c * m[:, a] + s * m[:, b], c * m[:, b] - s.conj() * m[:, a]
     ma, mb = out[:, :, a], out[:, :, b]
-    out[:, :, a], out[:, :, b] = c * ma + s * mb, c * mb - s * ma
+    out[:, :, a], out[:, :, b] = c * ma + s.conj() * mb, c * mb - s * ma
     return out
 
 
@@ -108,11 +90,12 @@ def stretches(
     free stretch ends at inf. On a free stretch pulse is None and rho is the
     (n, 3, 3) state at start. Inside a square pulse pulse is (v, beat) and rho
     is the state in the pulse's eigenbasis, so the state tau after start is
-    v (rho * exp(-i beat tau)) v^T. v rotates only the driven pair of levels
-    (`_square_eigen`), so entering and leaving the pulse rotate two rows and
-    two columns of every atom's state, element-wise. A hard pulse acts between
-    two free stretches, so the stretch that starts at its instant holds the
-    post-pulse state.
+    v (rho * exp(-i beat tau)) v^T. Every pulse rotates its driven pair of
+    levels alone, so each rotation is one `_rotate` of two rows and two
+    columns of every atom's state: a hard pulse by cos(phi/2) and i sin(phi/2),
+    a square pulse into and out of its eigenbasis (`_square_eigen`). A hard
+    pulse acts between two free stretches, so the stretch that starts at its
+    instant holds the post-pulse state.
     """
     lam = np.column_stack([np.zeros(deltas.size), deltas, delta_s])
     now = 0.0
@@ -121,15 +104,11 @@ def stretches(
         gap = p.t_start - now
         if gap != 0.0:
             rho = _free_rotation(rho, lam, gap)
+        a, b = _LEVELS[p.channel]
         if p.is_hard:
-            # u rho u^H for every atom, as two fixed matrix products over the
-            # batch: u times every atom's rows, then every row times u^H
-            u = pulse_unitary(p.channel, p.area)
-            left = u @ rho.swapaxes(0, 1).reshape(3, -1)
-            rho = (left.reshape(-1, 3) @ u.conj().T).reshape(3, -1, 3).swapaxes(0, 1)
+            rho = _rotate(rho, a, b, np.cos(p.area / 2.0), 1j * np.sin(p.area / 2.0))
         else:
-            w, v = _square_eigen(p, deltas, delta_s)
-            a, b = _LEVELS[p.channel]
+            w, v = _square_eigen(p, lam)
             cos, sin = v[:, a, a], v[:, b, a]
             r = _rotate(rho, a, b, cos, sin)
             beat = w[:, :, None] - w[:, None, :]

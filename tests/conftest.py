@@ -1,6 +1,8 @@
 """The hypothesis profile, the one strategy for pulse sequences, the one random
 valid state, the table of routes to an echo run's observables, and the
-references that only tests call: `validate`, `purity`, `rhs` and `rk4_step`.
+references that only tests call: the explicit hard-pulse unitary
+`pulse_unitary`, `validate`, `purity`, `rhs`, `rk4_step`, and `column`, a
+table's column by name.
 
 A route maps (seq, spec, times) to (P, pops): the comb's polarization and its
 (n_t, 3) mean populations at the sample times. The comb walk is
@@ -44,6 +46,25 @@ def random_valid_state(rng) -> np.ndarray:
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     m = a @ a.conj().T
     return m / m.trace()
+
+
+def pulse_unitary(channel: Channel, area: float) -> np.ndarray:
+    """The explicit 3x3 unitary of a hard pulse of the given area (radians).
+
+    The driven 2x2 block is [[cos(a/2), i sin(a/2)], [i sin(a/2), cos(a/2)]]
+    and the spectator level is left alone; this sign puts a fresh
+    ground-state coherence at rho12 = -(i/2) sin(a).
+    """
+    a, b = (0, 1) if channel is Channel.OPTICAL12 else (1, 2)
+    u = np.eye(3, dtype=complex)
+    u[a, a] = u[b, b] = math.cos(area / 2.0)
+    u[a, b] = u[b, a] = 1j * math.sin(area / 2.0)
+    return u
+
+
+def column(table, name: str) -> np.ndarray:
+    """The column of a csvio.Table with the given name."""
+    return table.rows[:, table.columns.index(name)]
 
 
 HERMITICITY_TOL = 1e-12

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import purity, rhs
+from conftest import column, purity, rhs
 
 from cdrecho import (
     AtomParams,
@@ -250,7 +250,7 @@ def test_09_figure_datasets_reproducible(tmp_path):
         (FigureId.FIG5A, 100, +0.5),
     ]
     spot_dev = max(
-        abs(first[fig].column("im_rho12")[row] - want) for fig, row, want in spots
+        abs(column(first[fig], "im_rho12")[row] - want) for fig, row, want in spots
     )
     ok = identical and rendered_twice and spot_dev <= 1e-9
     report(

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdrecho import CsvWriteError, Table, cli, render_csv, write_csv
-from cdrecho.csvio import format_float
+from cdrecho.csvio import _format_float
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -19,10 +19,10 @@ RUN_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.0, 0.5, -2.16840434497e-19, 1e300]
 
 
 def per_cell(table: Table) -> str:
-    """The CSV text built cell by cell with format_float."""
+    """The CSV text built cell by cell with _format_float."""
     lines = ["# " + " ".join(f"{k}={v}" for k, v in table.meta)] if table.meta else []
     lines.append(",".join(table.columns))
-    lines += [",".join(format_float(x) for x in row) for row in table.rows.tolist()]
+    lines += [",".join(_format_float(x) for x in row) for row in table.rows.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -50,20 +50,20 @@ def piecewise_constant_tables(draw):
 
 class TestFormatFloat:
     def test_twelve_significant_digits(self):
-        assert format_float(math.pi) == "3.14159265359"
-        assert format_float(2.0 / 3.0) == "0.666666666667"
+        assert _format_float(math.pi) == "3.14159265359"
+        assert _format_float(2.0 / 3.0) == "0.666666666667"
 
     def test_short_forms(self):
-        assert format_float(1.0) == "1"
-        assert format_float(-0.5) == "-0.5"
-        assert format_float(0.0) == "0"
-        assert format_float(1e-20) == "1e-20"
-        assert format_float(2.5e9) == "2500000000"
+        assert _format_float(1.0) == "1"
+        assert _format_float(-0.5) == "-0.5"
+        assert _format_float(0.0) == "0"
+        assert _format_float(1e-20) == "1e-20"
+        assert _format_float(2.5e9) == "2500000000"
 
     def test_rejects_non_finite(self):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(CsvWriteError) as exc_info:
-                format_float(bad)
+                _format_float(bad)
             assert exc_info.value.code == "NON_FINITE_VALUE"
 
     def test_error_is_a_value_error(self):
@@ -71,12 +71,6 @@ class TestFormatFloat:
 
 
 class TestTable:
-    def test_column_lookup(self):
-        t = Table(columns=("x", "y"), rows=np.array([[1.0, 2.0], [3.0, 4.0]]))
-        np.testing.assert_array_equal(t.column("y"), [2.0, 4.0])
-        with pytest.raises(ValueError):
-            t.column("z")
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Table(columns=("x",), rows=np.zeros((2, 2)))
@@ -152,7 +146,7 @@ class TestRenderCsv:
         rows = np.array(cells, dtype=float).reshape(-1, columns)
         t = Table(columns=tuple(f"c{k}" for k in range(columns)), rows=rows)
         want = [",".join(t.columns)]
-        want += [",".join(format_float(x) for x in row) for row in rows]
+        want += [",".join(_format_float(x) for x in row) for row in rows]
         assert render_csv(t) == "\n".join(want) + "\n"
 
     def test_trace_sized_table_renders_as_per_cell_format_float(self):
@@ -167,13 +161,13 @@ class TestRenderCsv:
         rows[:, 4] = rng.uniform(-1.0, 1.0, 18001) * 1e300
         t = Table(columns=tuple("abcdefg"), rows=rows)
         want = [",".join(t.columns)]
-        want += [",".join(format_float(x) for x in row) for row in rows.tolist()]
+        want += [",".join(_format_float(x) for x in row) for row in rows.tolist()]
         assert render_csv(t) == "\n".join(want) + "\n"
 
 
 class TestRenderRuns:
     """Runs of more than a row's width of bit-identical cells are formatted
-    once; the bytes must stay those of format_float on every cell."""
+    once; the bytes must stay those of _format_float on every cell."""
 
     @settings(max_examples=300)
     @given(table=piecewise_constant_tables())

@@ -28,7 +28,7 @@ from cdrecho import (
 )
 from cdrecho import ensemble
 from cdrecho.ensemble import (
-    TRACE_BUDGET_BYTES,
+    _TRACE_BUDGET_BYTES,
     EchoEvent,
     _chirp_pays,
     _chirp_sum,
@@ -890,7 +890,7 @@ class TestSizeBudget:
         spec = EnsembleSpec(n_atoms=n_atoms)
         times = time_grid(45 * US, 0.0025 * US)
         pulse_samples = int(np.sum((times >= 0.5 * US) & (times < 0.5 * US + duration)))
-        assert trace_bytes(n_atoms, times.size, pulse_samples) > TRACE_BUDGET_BYTES
+        assert trace_bytes(n_atoms, times.size, pulse_samples) > _TRACE_BUDGET_BYTES
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="GiB budget"):

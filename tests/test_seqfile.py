@@ -15,8 +15,8 @@ from cdrecho import (
     time_grid,
 )
 from cdrecho.cli import cli_main
-from cdrecho.ensemble import TRACE_BUDGET_BYTES, trace_bytes
-from cdrecho.seqfile import default_dt
+from cdrecho.ensemble import _TRACE_BUDGET_BYTES, trace_bytes
+from cdrecho.seqfile import _default_dt
 
 PI = math.pi
 US = 1e-6
@@ -70,7 +70,7 @@ class TestParseGoodFile:
         assert seq.pulses == ()
         assert spec == EnsembleSpec()
         assert seq.t_end == 0.0
-        assert np.array_equal(times, time_grid(0.0, default_dt(spec)))
+        assert np.array_equal(times, time_grid(0.0, _default_dt(spec)))
 
 
 class TestDefaults:
@@ -81,14 +81,14 @@ class TestDefaults:
         seq, spec, times = parse_sequence_file(text)
         assert spec == EnsembleSpec()
         assert seq.t_end == pytest.approx(10 * US)  # twice the last pulse end
-        assert np.array_equal(times, time_grid(seq.t_end, default_dt(spec)))
+        assert np.array_equal(times, time_grid(seq.t_end, _default_dt(spec)))
 
     def test_default_dt_resolves_fastest_beat(self):
         spec = EnsembleSpec(sigma=2 * PI * 1e6, n_atoms=201, span=5.0)
-        assert default_dt(spec) == pytest.approx(1.0 / (40 * 5e6))
+        assert _default_dt(spec) == pytest.approx(1.0 / (40 * 5e6))
 
     def test_default_dt_with_zero_span(self):
-        assert default_dt(EnsembleSpec(span=0.0)) == 1e-7
+        assert _default_dt(EnsembleSpec(span=0.0)) == 1e-7
 
     def test_default_duration_is_hard(self):
         text = json.dumps(
@@ -154,6 +154,12 @@ class TestErrorCodes:
         ]
         for doc in bad:
             assert self._code(json.dumps(doc)) == "INVALID_VALUE"
+
+    def test_pulse_too_short_to_move_its_start(self):
+        entry = {"channel": "optical12", "area_pi": 1.0, "t_start": 1.0, "duration": 1e-17}
+        with pytest.raises(SequenceFileError, match="too short to move t_start") as exc_info:
+            parse_sequence_file(json.dumps({"pulses": [entry]}))
+        assert exc_info.value.code == "INVALID_VALUE"
 
     def test_integers_beyond_float_range(self, tmp_path, capsys):
         # JSON reads a 401-digit number as an int, which float() cannot hold
@@ -260,7 +266,7 @@ class TestSizeBudget:
         lo, hi = 2.0, 1e15  # samples, bisected to where the estimate meets the budget
         for _ in range(200):
             mid = math.sqrt(lo * hi)
-            fits = trace_bytes(n_atoms, mid, pulse) <= TRACE_BUDGET_BYTES
+            fits = trace_bytes(n_atoms, mid, pulse) <= _TRACE_BUDGET_BYTES
             lo, hi = (mid, hi) if fits else (lo, mid)
         t_end = (lo - 2.0) * dt
         assert t_end > 1.0 + duration
@@ -292,7 +298,7 @@ class TestSizeBudget:
             return duration(m) * US / (dt * US) + 1.0
 
         def fits(m):
-            return trace_bytes(n_atoms, n_t, pulse(m)) <= TRACE_BUDGET_BYTES
+            return trace_bytes(n_atoms, n_t, pulse(m)) <= _TRACE_BUDGET_BYTES
 
         lo, hi = 1, round((t_end - 1.0) / dt)
         assert fits(lo) and not fits(hi)

@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import validate
+from conftest import pulse_unitary, validate
 
 from cdrecho import (
     Channel,
     StageAreas,
     ground_state,
-    pulse_unitary,
     stage_chain,
 )
 from cdrecho.stages import (

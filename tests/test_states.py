@@ -174,6 +174,15 @@ class TestPulseTypes:
         with pytest.raises(ValueError):
             Pulse(Channel.OPTICAL12, math.pi, 0.0, duration=-1.0)
 
+    def test_duration_too_short_to_move_the_start_rejected(self):
+        with pytest.raises(ValueError, match=r"duration 1e-23 s .* t_start 1e-06 s"):
+            Pulse(Channel.OPTICAL12, math.pi, 1e-6, duration=1e-23)
+
+    def test_tiny_duration_from_zero_accepted(self):
+        p = Pulse(Channel.OPTICAL12, math.pi, 0.0, duration=1e-300)
+        assert not p.is_hard
+        assert p.t_end == 1e-300
+
     def test_unsorted_sequence_rejected(self):
         pulses = (
             Pulse(Channel.OPTICAL12, math.pi, 2.0),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import purity, random_valid_state, sequences
+from conftest import pulse_unitary, purity, random_valid_state, sequences
 
 from cdrecho import (
     AtomParams,
@@ -16,12 +16,11 @@ from cdrecho import (
     PulseSequence,
     StageAreas,
     ground_state,
-    pulse_unitary,
     run_sequence_hard,
     stage_chain,
 )
 from cdrecho.stages import after_data
-from cdrecho.unitary import _square_eigen
+from cdrecho.unitary import _LEVELS, _rotate, _square_eigen
 
 PI = math.pi
 
@@ -60,14 +59,16 @@ def hard_loop(rho0, seq, atom, sample_times):
 
 
 class TestPulseUnitary:
+    """The tests' explicit hard-pulse unitary, anchored to the physics."""
+
     def test_zero_area_is_identity(self):
         for ch in Channel:
             np.testing.assert_allclose(pulse_unitary(ch, 0.0), np.eye(3), atol=1e-15)
 
     def test_unknown_channel_rejected(self):
         for bad in ("optical12", 0, None):
-            with pytest.raises(ValueError, match="unknown channel"):
-                pulse_unitary(bad, PI)
+            with pytest.raises(ValueError, match="channel must be a Channel"):
+                Pulse(bad, PI, 0.0)
 
     def test_pi_pulse_swaps_populations(self):
         u = pulse_unitary(Channel.OPTICAL12, PI)
@@ -109,6 +110,28 @@ class TestPulseUnitary:
             rho = random_valid_state(rng)
             out = conjugate(rho, u)
             assert out[0, 1] == pytest.approx(np.conj(rho[0, 1]), abs=1e-14)
+
+
+class TestRotate:
+    @settings(max_examples=60)
+    @given(
+        channel=st.sampled_from(list(Channel)),
+        areas=st.lists(st.floats(-4 * PI, 4 * PI), min_size=1, max_size=5),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_hard_pulse_is_the_explicit_unitary(self, channel, areas, seed):
+        rng = np.random.default_rng(seed)
+        m = np.stack([random_valid_state(rng) for _ in areas])
+        a, b = _LEVELS[channel]
+        x = np.array(areas)
+        # one area per atom, and the first area as a scalar for the whole stack
+        got = _rotate(m, a, b, np.cos(x / 2.0), 1j * np.sin(x / 2.0))
+        one = _rotate(m, a, b, np.cos(x[0] / 2.0), 1j * np.sin(x[0] / 2.0))
+        u = pulse_unitary(channel, areas[0])
+        for k, area in enumerate(areas):
+            want = conjugate(m[k], pulse_unitary(channel, area))
+            np.testing.assert_allclose(got[k], want, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(one[k], conjugate(m[k], u), rtol=0, atol=1e-15)
 
 
 class TestFreeEvolution:
@@ -228,6 +251,18 @@ class TestRunSequenceHard:
         for rho, (_, m) in zip(got, want):
             assert np.abs(rho - m).max() <= 1e-12
 
+    @pytest.mark.parametrize("channel", list(Channel))
+    def test_pulses_at_one_instant_add_their_areas(self, channel):
+        atom = AtomParams(delta=2 * PI * 3e5, delta_s=2 * PI * 1e5)
+        rho0 = random_valid_state(np.random.default_rng(16))
+
+        def final(*areas):
+            pulses = tuple(Pulse(channel, a, 1e-6) for a in areas)
+            seq = PulseSequence(pulses, t_end=3e-6)
+            return run_sequence_hard(rho0, seq, atom, [seq.t_end])[1][-1]
+
+        np.testing.assert_allclose(final(0.7, 2.1), final(2.8), rtol=0, atol=1e-13)
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_sample_times_are_refused(self, bad):
         seq = PulseSequence(pulses=(Pulse(Channel.OPTICAL12, PI, 1e-6),), t_end=2e-6)
@@ -259,7 +294,8 @@ class TestSquareEigen:
         # both signs of delta, delta = 0 exactly, and a detuned spin level
         deltas = np.array([d, -d, 0.0, 0.5 * d])
         delta_s = np.array([0.0, 0.0, 0.0, -0.25 * d])
-        w, v = _square_eigen(pulse, deltas, delta_s)
+        lam = np.column_stack([np.zeros(deltas.size), deltas, delta_s])
+        w, v = _square_eigen(pulse, lam)
         a, b = {Channel.OPTICAL12: (0, 1), Channel.CONTROL23: (1, 2)}[channel]
         for k in range(deltas.size):
             h = np.diag([0.0, deltas[k], delta_s[k]])
