@@ -5,8 +5,9 @@ sweep), stages (closed-form pulse-by-pulse table), echo (ensemble trace and
 echo report from a sequence file), propagate (pulse-area attenuation),
 verify (cross-validation suite). Exit codes: 0 success, 1 verification
 failure, 2 usage error, 3 I/O error, 4 numerical failure (a state turned
-non-finite). Pulse-area options are in units of pi except propagate --phi0,
-which is radians.
+non-finite). A value that argparse accepts but the run refuses exits 2 with
+one line `error: CODE: message`. Pulse-area options are in units of pi
+except propagate --phi0, which is radians.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .area import propagate_area
 from .csvio import CsvWriteError, Table, render_csv, write_csv
 from .ensemble import detect_echoes, simulate_ensemble
-from .seqfile import parse_sequence_file
+from .seqfile import SequenceFileError, parse_sequence_file
 from .stages import COLUMNS, StageAreas, observables, stage_chain
 from .sweeps import FigureId, SweepSpec, figure_dataset, run_sweep
 from .verify import run_checks
@@ -224,7 +225,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a SequenceFileError's message starts with its own code
+        code = "" if isinstance(exc, SequenceFileError) else "INVALID_VALUE: "
+        print(f"error: {code}{exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

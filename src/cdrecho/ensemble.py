@@ -459,56 +459,42 @@ def simulate_ensemble(
     )
 
 
-def _is_odd_pi(area: float) -> bool:
-    k = area / math.pi
-    r = round(k)
-    return abs(k - r) < _ODD_PI_TOL and r % 2 == 1
-
-
 def predict_echo_times(seq: PulseSequence) -> list[float]:
     """Echo times from the phase ledger, in order, within [0, t_end].
 
-    The ledger starts at the first optical pulse (coherence birth). Slope is
-    +1 on the optical transition and 0 while shelved between odd-pi control
-    pulses; every later odd-pi optical pulse negates the ledger. An echo is
-    each upward zero crossing after the first such negation. Finite-duration
-    pulses count from their centers. No optical pulses means no echoes.
+    The ledger s starts at the first optical pulse (coherence birth). It grows
+    at +1 per unit time on the optical transition and stands still while
+    shelved between odd-pi control pulses; every later odd-pi optical pulse
+    negates it. An echo is each upward zero crossing after the first such
+    negation. Finite-duration pulses count from their centers. No optical
+    pulses means no echoes.
     """
-    centers = [(p.t_start + 0.5 * p.duration, p) for p in seq.pulses]
-    optical = [(t, p) for t, p in centers if p.channel is Channel.OPTICAL12]
-    if not optical:
+    data = next((p for p in seq.pulses if p.channel is Channel.OPTICAL12), None)
+    if data is None:
         return []
-    t0, data_pulse = optical[0]
-
-    s = 0.0
-    slope = 1.0
+    t0 = prev = data.t_start + 0.5 * data.duration
+    s = 0.0  # it grows from 0 until the first negation, so s < 0 only after one
     shelved = False
-    seen_flip = False
-    prev = t0
     echoes: list[float] = []
-
-    def advance(to: float):
-        nonlocal s, prev
-        s_new = s + slope * (to - prev)
-        if seen_flip and slope > 0.0 and s < 0.0 <= s_new:
-            echoes.append(prev - s)
-        s = s_new
-        prev = to
-
-    for tc, p in centers:
-        if p is data_pulse or tc < t0:
+    for p in seq.pulses:
+        tc = p.t_start + 0.5 * p.duration
+        if p is data or tc < t0:
             continue
-        advance(tc)
-        if p.channel is Channel.OPTICAL12 and _is_odd_pi(p.area):
-            s = -s
-            seen_flip = True
-        elif p.channel is Channel.CONTROL23 and _is_odd_pi(p.area):
-            shelved = not shelved
-            slope = 0.0 if shelved else 1.0
-    if seen_flip and slope > 0.0 and s < 0.0:
-        t_cross = prev - s
-        if t_cross <= seq.t_end:
-            echoes.append(t_cross)
+        if not shelved:
+            s_new = s + (tc - prev)
+            if s < 0.0 <= s_new:
+                echoes.append(prev - s)
+            s = s_new
+        prev = tc
+        k = p.area / math.pi
+        r = round(k)
+        if abs(k - r) < _ODD_PI_TOL and r % 2 == 1:
+            if p.channel is Channel.OPTICAL12:
+                s = -s
+            else:
+                shelved = not shelved
+    if not shelved and s < 0.0 and prev - s <= seq.t_end:
+        echoes.append(prev - s)
     return echoes
 
 
@@ -542,13 +528,8 @@ def detect_echoes(times: np.ndarray, polarization: np.ndarray, seq: PulseSequenc
         excluded |= (times >= p.t_start - pad) & (times <= p.t_end + pad)
 
     mag = np.abs(pol)
-    open_mag = mag[~excluded]
-    if open_mag.size == 0:
-        return EchoReport((), predicted)
-    ref = float(open_mag.max())
-    if ref == 0.0:
-        return EchoReport((), predicted)
-    thr = _ECHO_THRESHOLD * ref
+    # with no open sample above 0, thr is 0 and no open sample tops its left neighbor
+    thr = _ECHO_THRESHOLD * float(np.max(mag, where=~excluded, initial=0.0))
 
     window = 3.0 * dt + max((p.duration for p in seq.pulses), default=0.0) + 1e-12
     mid = mag[1:-1]

@@ -31,6 +31,10 @@ from .states import AtomParams, Channel, PulseSequence, _as_state_array
 
 __all__ = ["integrate_sequence"]
 
+# The most states one run may emit, about 3.2 million: tracemalloc puts its
+# peak at 630 to 672 B per emitted state, so a run stays in an echo run's 2 GiB
+_MAX_STATES = 2 * 1024**3 // 672
+
 
 def _rhs_elements(rho: np.ndarray, omega_j, omega_k, atom: AtomParams) -> np.ndarray:
     """Elementwise master-equation derivative; broadcasts over leading axes.
@@ -142,7 +146,8 @@ def integrate_sequence(
     emitted state is re-symmetrized to Hermitian and checked for non-finite
     entries, which raise FloatingPointError; an overflow between two samples
     cannot turn finite again under the matrix products, so it is caught at
-    the next sample.
+    the next sample. A run that would emit more than _MAX_STATES states is
+    refused with ValueError before its first step.
     """
     rho = _as_state_array(rho0)
     if dt <= 0 or not math.isfinite(dt):
@@ -160,19 +165,29 @@ def integrate_sequence(
             raise ValueError(f"dt={dt} too coarse; need <= {limit} (shortest pulse / 100)")
     if not all(math.isfinite(p.rabi_frequency) for p in seq.pulses):
         raise ValueError("drive amplitudes must be finite")
+    if not math.isfinite(seq.t_end / dt):
+        raise ValueError(f"need finite t_end / dt, got {seq.t_end:g} / {dt:g}")
 
-    times, states = [0.0], [rho]
+    pieces = []  # (start, end, omega_j, omega_k, steps) of every non-empty segment
     for a, b, omega_j, omega_k in _segments(seq):
         span = b - a
-        if span <= 0:
-            continue
-        n = max(1, math.ceil(span / dt - 1e-9))
-        h = span / n
+        if span > 0:
+            pieces.append((a, b, omega_j, omega_k, max(1, math.ceil(span / dt - 1e-9))))
+    emitted = 1 + sum(-(-n // min(sample_stride, n)) for *_, n in pieces)
+    if emitted > _MAX_STATES:
+        raise ValueError(
+            f"the run would emit {emitted} states, past the bound of {_MAX_STATES}; "
+            "raise dt or sample_stride"
+        )
+
+    times, states = [0.0], [rho]
+    for a, b, omega_j, omega_k, n in pieces:
+        h = (b - a) / n
         step = _step_minus_one(omega_j, omega_k, atom, h)
         stride = min(sample_stride, n)
         by_stride = _power_minus_one(step, stride)
-        ends = [*range(stride, n, stride), n]
-        for start, end in zip([0, *ends], ends):
+        for start in range(0, n, stride):
+            end = min(start + stride, n)
             k = end - start
             power = by_stride if k == stride else _power_minus_one(step, k)
             vec = rho.reshape(9)

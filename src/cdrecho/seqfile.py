@@ -101,6 +101,8 @@ def parse_sequence_file(text: str) -> tuple[PulseSequence, EnsembleSpec, np.ndar
         raise SequenceFileError(
             "SYNTAX_ERROR", f"line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise SequenceFileError("SYNTAX_ERROR", "nested too deeply to parse") from exc
     if not isinstance(doc, dict):
         raise SequenceFileError("SYNTAX_ERROR", "top level must be an object")
     _known(doc, ("pulses", "ensemble", "grid"), "sequence")

@@ -54,6 +54,28 @@ class TestUsageErrors:
         assert captured.out == ""
         assert "steps must be in [2, 1000000]" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["echo", "--seq", "SQUARE"],  # square pulses need --engine ode
+            ["sweep", "--stage", "r1", "--varying", "phi_r1", "--steps", "1"],
+            ["propagate", "--phi0", "1", "--alpha", "-1", "--zmax", "1"],
+            ["stages", "--phid", "nan"],
+        ],
+        ids=["echo-square-pulses", "sweep-steps", "propagate-alpha", "stages-phid"],
+    )
+    def test_every_refused_value_prints_a_code(self, argv, tmp_path, capsys):
+        doc = json.loads((ROOT / "sequences" / "dr.json").read_text())
+        for pulse in doc["pulses"]:
+            pulse["duration"] = 0.2
+        square = tmp_path / "square.json"
+        square.write_text(json.dumps(doc))
+        assert cli_main([str(square) if a == "SQUARE" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: INVALID_VALUE: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestParser:
     def test_second_call_builds_no_parser(self, monkeypatch, capsys):
@@ -177,7 +199,7 @@ class TestStages:
         assert cli_main(["stages", "--phid", phid]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: phi_d must be finite\n"
+        assert captured.err == "error: INVALID_VALUE: phi_d must be finite\n"
 
 
 class TestEcho:
@@ -280,6 +302,15 @@ class TestEcho:
         rc = cli_main(["echo", "--seq", str(tmp_path / "missing.json")])
         assert rc == 3
         capsys.readouterr()
+
+    def test_deeply_nested_file_is_a_syntax_error(self, tmp_path, capsys):
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100000 + "]" * 100000)
+        assert cli_main(["echo", "--seq", str(nested)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: SYNTAX_ERROR: ")
+        assert captured.err.count("\n") == 1
 
     def test_bad_sequence_file_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -619,6 +619,45 @@ class TestPredictEchoTimes:
         assert predict_echo_times(seq) == pytest.approx([want], abs=1e-12)
 
 
+    @given(data=st.data())
+    def test_odd_pi_patterns_follow_the_closed_form(self, data):
+        # d, r1, an optional pi-pi control pair before E1, then r2 after E1;
+        # every pulse hard or square, each width at most 0.1 us
+        us = lambda lo, hi: data.draw(st.floats(lo, hi)) * US
+        odd = st.sampled_from([-5, -3, -1, 1, 3, 5])
+
+        def pulse(channel, area, t_start):
+            width = us(0.001, 0.1) if data.draw(st.booleans()) else 0.0
+            return Pulse(channel, area, t_start, width)
+
+        center = lambda p: p.t_start + 0.5 * p.duration
+        area_d = data.draw(st.floats(0.05, 0.95, exclude_min=True, exclude_max=True)) * PI
+        d = pulse(Channel.OPTICAL12, area_d, us(0, 5))
+        r1 = pulse(Channel.OPTICAL12, data.draw(odd) * PI, d.t_end + us(0.5, 20))
+        tau = center(r1) - center(d)
+        pulses, shelve = [d, r1], 0.0
+        if data.draw(st.booleans()):
+            # c1 within 0.3 tau of r1 keeps c2 ending before E1, however long the shelve
+            lead = 0.3 * tau * data.draw(st.floats(0, 1))
+            c1 = pulse(Channel.CONTROL23, data.draw(odd) * PI, r1.t_end + lead)
+            c2 = pulse(Channel.CONTROL23, data.draw(odd) * PI, c1.t_end + us(0.1, 20))
+            pulses += [c1, c2]
+            shelve = center(c2) - center(c1)
+        e1 = 2 * center(r1) - center(d) + shelve
+        assert e1 > pulses[-1].t_end
+        r2 = pulse(Channel.OPTICAL12, data.draw(odd) * PI, e1 + us(0.5, 20))
+        e2 = 2 * center(r2) - e1
+        pulses.append(r2)
+        t_end = e2 + us(0.5, 20)
+        predicted = predict_echo_times(PulseSequence(pulses=tuple(pulses), t_end=t_end))
+        assert predicted == pytest.approx([e1, e2], abs=1e-12 * t_end)
+        # the window's end keeps an echo that lands on it, and no later one
+        at_e2 = PulseSequence(pulses=tuple(pulses), t_end=predicted[1])
+        assert predict_echo_times(at_e2) == predicted
+        short = PulseSequence(pulses=tuple(pulses), t_end=float(np.nextafter(predicted[1], 0)))
+        assert predict_echo_times(short) == predicted[:1]
+
+
 class TestDetectEchoes:
     SEQ = two_pulse_seq(tau=4 * US, t_end=10 * US)
     TIMES = time_grid(10 * US, 0.01 * US)
@@ -762,6 +801,13 @@ class TestDetectEchoes:
     def test_flat_signal_reports_nothing(self):
         report = detect_echoes(self.TIMES, np.zeros_like(self.TIMES, dtype=complex), self.SEQ)
         assert report.events == ()
+
+    def test_trace_inside_pulse_windows_reports_nothing(self):
+        # all three samples lie within a step of the r pulse at 4 us
+        inside = np.array([3.99, 4.0, 4.01]) * US
+        report = detect_echoes(inside, np.array([1.0, 2.0, 1.0]) * 1j, self.SEQ)
+        assert report.events == ()
+        assert report.predicted == pytest.approx((8 * US,))
 
     def test_every_report_carries_the_prediction(self):
         want = tuple(predict_echo_times(self.SEQ))

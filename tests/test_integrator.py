@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,6 +299,42 @@ class TestIntegrateSequence:
         monkeypatch.setattr(integrator, "_step_minus_one", no_step)
         with pytest.raises(ValueError, match="drive amplitudes must be finite"):
             integrate_sequence(ground_state(), seq, AtomParams(), dt=1e-12)
+
+    def test_too_many_emitted_states_refused_before_any_step(self, monkeypatch):
+        # about 1e20 steps of 1e-26 s over 1 us, one state every 1e9 of them
+        def no_step(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(integrator, "_step_minus_one", no_step)
+        seq = PulseSequence(pulses=(), t_end=1e-6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="past the bound") as err:
+                integrate_sequence(
+                    ground_state(), seq, AtomParams(), dt=1e-26, sample_stride=10**9
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert int(re.search(r"emit (\d+) states", str(err.value))[1]) > 10**11
+        assert peak < 1e6
+
+    def test_state_bound_counts_every_emitted_state(self, monkeypatch):
+        # rho0, then 200, 100 and 100 steps of gap, pulse and tail, one state
+        # every 80 steps and at each edge: 1 + 3 + 2 + 2 states
+        seq = self._square_pulse_seq(PI, 0.5e-6, t_start=1e-6, t_end=2e-6)
+        kwargs = dict(dt=0.5e-8, sample_stride=80)
+        monkeypatch.setattr(integrator, "_MAX_STATES", 8)
+        times, _ = integrate_sequence(ground_state(), seq, AtomParams(), **kwargs)
+        assert times.size == 8
+        monkeypatch.setattr(integrator, "_MAX_STATES", 7)
+        with pytest.raises(ValueError, match="emit 8 states"):
+            integrate_sequence(ground_state(), seq, AtomParams(), **kwargs)
+
+    def test_window_of_infinitely_many_steps_refused(self):
+        seq = PulseSequence(pulses=(), t_end=1e-6)
+        with pytest.raises(ValueError, match="need finite t_end / dt"):
+            integrate_sequence(ground_state(), seq, AtomParams(), dt=5e-324)
 
     def test_sample_stride_thins_output_but_keeps_edges(self):
         seq = self._square_pulse_seq(PI, 1e-6, t_end=2e-6)

@@ -108,6 +108,10 @@ class TestErrorCodes:
         assert self._code("{not json") == "SYNTAX_ERROR"
         assert self._code("[1, 2]") == "SYNTAX_ERROR"
 
+    def test_deep_nesting_is_a_syntax_error(self):
+        # json.loads raises RecursionError here, not JSONDecodeError
+        assert self._code("[" * 100000 + "]" * 100000) == "SYNTAX_ERROR"
+
     def test_syntax_error_reports_location(self):
         with pytest.raises(SequenceFileError, match=r"line \d+ column \d+"):
             parse_sequence_file('{"pulses": [}')
