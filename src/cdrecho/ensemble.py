@@ -84,6 +84,8 @@ class EnsembleSpec:
             raise ValueError(f"n_atoms must be an integer, got {self.n_atoms!r}")
         if self.n_atoms < 3 or self.n_atoms % 2 == 0:
             raise ValueError("n_atoms must be odd and >= 3")
+        if self.n_atoms > 2**53:  # past it, trace_bytes cannot count the comb in floats
+            raise ValueError("n_atoms must be at most 2**53")
         if not math.isfinite(self.span) or self.span < 0:
             raise ValueError("span must be finite and >= 0")
         # _grid divides by 2 sigma^2 and squares the comb's edge, span sigma
@@ -301,6 +303,14 @@ def _phase_sum(
 
 _TRACE_BUDGET_BYTES = 2 * 1024**3  # the largest trace_bytes an echo run may take on
 
+# The outputs an echo run reads, mean[x, y]: P = mean[0, 1], read as its
+# imaginary part, and the three populations, read as their real parts; the
+# sign that pairs each output's (k, l) and (l, k) terms inside a square pulse
+# (`_trace`); and each atom's three beats k < l there
+_OUT_X, _OUT_Y = np.array([0, 0, 1, 2]), np.array([1, 0, 1, 2])
+_OUT_SIGN = np.array([-1.0, 1.0, 1.0, 1.0])
+_BEAT_K, _BEAT_L = np.array([0, 0, 1]), np.array([1, 2, 2])
+
 
 def trace_bytes(n_atoms: float, n_t: float, pulse_samples: float) -> float:
     """Estimated peak bytes of an echo run, from its sizes alone.
@@ -315,11 +325,12 @@ def trace_bytes(n_atoms: float, n_t: float, pulse_samples: float) -> float:
     (7 n + 24 F) q: two spectra of up to (2 n + L) q entries each, the output,
     and the chirp and its kernel, with the FFT length L <= 4 F. F = n_atoms
     and q = 1 over a free stretch of up to n_t samples; F = 3 n_atoms beats
-    and q = 5 columns, plus the coefficients, inside a square pulse, where the
-    walk also holds each atom's eigenvectors, beats and weighted state (1 kB
-    per atom covers them). All in floats, so a grid of 1e300 samples is
-    simply too large. The walk takes only the (n_atoms + 1)/2 detunings >= 0
-    (`_trace`), so counting the whole comb keeps the estimate an upper bound.
+    and q = 4 columns, one per output an echo run reads, plus the
+    coefficients, inside a square pulse, where the walk also holds each
+    atom's eigenvectors, beats and weighted state (1 kB per atom covers
+    them). All in floats, so a grid of 1e300 samples is simply too large. The
+    walk takes only the (n_atoms + 1)/2 detunings >= 0 (`_trace`), so
+    counting the whole comb keeps the estimate an upper bound.
     """
 
     def phase_sum(n: float, f: float, q: int) -> float:
@@ -327,7 +338,7 @@ def trace_bytes(n_atoms: float, n_t: float, pulse_samples: float) -> float:
         table = f * s * (1 + q) + f * q + 2.0 * n * q
         return 16.0 * max(table, (7.0 * n + 24.0 * f) * q)
 
-    walk = phase_sum(pulse_samples, 3.0 * n_atoms, 5) + 1024.0 * n_atoms
+    walk = phase_sum(pulse_samples, 3.0 * n_atoms, _OUT_SIGN.size) + 1024.0 * n_atoms
     pulse = walk if pulse_samples > 0 else 0.0
     return 640.0 * n_t + 1024.0 * n_atoms + max(phase_sum(n_t, n_atoms, 1), pulse)
 
@@ -342,12 +353,6 @@ def check_trace_budget(n_atoms: float, n_t: float, pulse_samples: float) -> None
         )
 
 
-# The outputs an echo run reads, mean[x, y]: P = mean[0, 1] and the three
-# populations; and each atom's three beats k < l inside a square pulse
-_OUT_X, _OUT_Y = np.array([0, 0, 1, 2]), np.array([1, 0, 1, 2])
-_BEAT_K, _BEAT_L = np.array([0, 0, 1]), np.array([1, 2, 2])
-
-
 def _trace(
     seq: PulseSequence, deltas: np.ndarray, weights: np.ndarray, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -360,30 +365,31 @@ def _trace(
     -H(-d), and the atom at -d, started in |1> as the one at d, holds
     Z conj(rho(d)) Z for hard and square pulses alike: rho12(-d) =
     -conj(rho12(d)) and the populations are even in d. So the walk takes the
-    half comb m d, m >= 0, with the centre at half weight; its sums S give
-    P = 2i Im S, with a real part of +0.0, and pops = 2 S_pops. Only Im S is
-    kept.
+    half comb m d, m >= 0, with the centre at its own weight and every other
+    atom at twice its weight, for itself and its mirror. Its sums S then give
+    P = i Im S_P, with a real part of +0.0, and the populations as they are.
 
     Each stretch's samples are a ladder t0 + k h, as times is a uniform grid,
     and so is the half comb. On a free stretch rho12 advances at +delta; a
-    stretch where it is zero for every atom gives S = +0.0 without a sum.
+    stretch where it is zero for every atom leaves P at +0.0 without a sum.
     Inside a square pulse the mean
     rho_xy(tau) = sum_n w_n sum_kl v_xk v_yl r_kl exp(-i beat_kl tau). Its
     diagonal beats are zero, so their terms are one constant per output; and
-    beat_lk = -beat_kl, so the (l, k) term is the conjugate of a sum at the
-    (k, l) beat. The populations are real, so for them that conjugate is the
-    (k, l) sum itself: the comb sum runs over the 3 beats k < l of each atom
-    with 5 columns, c_kl for the four outputs (x, y) an echo run reads and
-    conj(c_lk) for P, and each population is its constant plus 2 Re S_kl.
+    beat_lk = -beat_kl with v real, so the (l, k) term is the conjugate of
+    w r_kl v_xl v_yk exp(-i beat_kl tau). Im P keeps its (k, l) term minus
+    that, and a population, read as its real part, its (k, l) term plus it.
+    So the comb sum runs over the 3 beats k < l of each atom with one column
+    per output, w r_kl (v_xk v_yl + s v_xl v_yk), with s = -1 for P and +1
+    for the populations (_OUT_SIGN), and each output is its constant plus
+    that column's sum.
     """
     mid = deltas.size // 2
-    deltas, weights = deltas[mid:], weights[mid:].copy()
-    weights[0] *= 0.5
+    deltas, weights = deltas[mid:], np.append(weights[mid], 2.0 * weights[mid + 1 :])
     ground = np.zeros((deltas.size, 3, 3), dtype=complex)
     ground[:, 0, 0] = 1.0
     diag = (np.arange(3), np.arange(3))
     comb = (0.0, deltas[1])
-    im = np.empty(times.size)
+    pol = np.zeros(times.size, dtype=complex)
     pops = np.empty((times.size, 3))
     idx = 0
     for start, end, rho, pulse in stretches(seq, deltas, np.zeros(deltas.size), ground):
@@ -395,24 +401,22 @@ def _trace(
         h = ((times[j - 1] - start) - t0) / max(n - 1, 1)
         if pulse is None:
             coef = weights * rho[:, 0, 1]
-            im[idx:j] = _phase_sum(t0, h, n, deltas, coef[:, None], comb)[:, 0].imag if coef.any() else 0.0
+            if coef.any():
+                pol.imag[idx:j] = _phase_sum(t0, h, n, deltas, coef[:, None], comb)[:, 0].imag
             pops[idx:j] = weights @ rho[:, diag[0], diag[1]].real
         else:
             v, beat = pulse
             vx, vy = v[:, _OUT_X], v[:, _OUT_Y]  # (atom, output, level)
             wr = weights[:, None, None] * rho
             k, l = _BEAT_K, _BEAT_L
-            coef = np.empty((deltas.size, 3, 5), dtype=complex)  # (atom, beat, column)
-            coef[:, :, :4] = (vx[:, :, k] * vy[:, :, l] * wr[:, None, k, l]).swapaxes(1, 2)
-            coef[:, :, 4] = np.conj(vx[:, 0, l] * vy[:, 0, k] * wr[:, l, k])
+            pair = vx[:, :, k] * vy[:, :, l] + _OUT_SIGN[:, None] * vx[:, :, l] * vy[:, :, k]
+            coef = (pair * wr[:, None, k, l]).swapaxes(1, 2)  # (atom, beat, output)
             const = np.einsum("nok,nok,nk->o", vx, vy, wr[:, diag[0], diag[1]])
-            sums = _phase_sum(t0, h, n, -beat[:, k, l].ravel(), coef.reshape(-1, 5))
-            im[idx:j] = sums[:, 0].imag - sums[:, 4].imag + const[0].imag
-            pops[idx:j] = 2.0 * sums[:, 1:4].real + const[1:].real
+            sums = _phase_sum(t0, h, n, -beat[:, k, l].ravel(), coef.reshape(-1, _OUT_SIGN.size))
+            pol.imag[idx:j] = sums[:, 0].imag + const[0].imag
+            pops[idx:j] = sums[:, 1:].real + const[1:].real
         idx = j
-    pol = np.zeros(times.size, dtype=complex)
-    pol.imag = 2.0 * im
-    return pol, 2.0 * pops
+    return pol, pops
 
 
 def simulate_ensemble(
@@ -428,9 +432,10 @@ def simulate_ensemble(
     (requires finite durations). Both run the same piecewise-exact trace.
     times must be a uniform grid from >= 0, strictly increasing and bit for
     bit np.linspace(times[0], times[-1], times.size), as time_grid's output
-    and a single instant are. Other times, and a run whose trace_bytes
-    estimate passes _TRACE_BUDGET_BYTES, raise ValueError before any array of
-    the comb exists.
+    and a single instant are. Other times, times whose last sample makes the
+    comb's largest phase, times[-1] span sigma, overflow, and a run whose
+    trace_bytes estimate passes _TRACE_BUDGET_BYTES raise ValueError before
+    any array of the comb exists.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -439,6 +444,12 @@ def simulate_ensemble(
         raise ValueError("times must be finite, strictly increasing and >= 0")
     if not np.array_equal(times, np.linspace(times[0], times[-1], times.size)):
         raise ValueError("times must be uniform: np.linspace(times[0], times[-1], times.size)")
+    last, edge = float(times[-1]), spec.span * spec.sigma
+    if not math.isfinite(last * edge):
+        raise ValueError(
+            f"the last sample {last:g} s times the comb edge {edge:g} rad/s, "
+            "the largest free phase, is not finite"
+        )
     if engine == "hard":
         if any(not p.is_hard for p in seq.pulses):
             raise ValueError("hard engine requires zero-duration pulses")
@@ -499,19 +510,23 @@ def predict_echo_times(seq: PulseSequence) -> list[float]:
 
 
 _ECHO_THRESHOLD = 0.2  # a peak's least |P|, as a fraction of the largest out-of-pulse |P|
+# A peak's least |P| at all. Rounding noise reached about 1.3e-16 on combs of
+# 61 to 20001 atoms; the echo of a 1e-9 pi data pulse is about 1.6e-9.
+_ECHO_FLOOR = 1e-12
 
 
 def detect_echoes(times: np.ndarray, polarization: np.ndarray, seq: PulseSequence) -> EchoReport:
     """Label local |P| maxima outside pulse intervals as echo events.
 
     A sample is a peak if it tops both neighbors (ties broken leftward),
-    clears _ECHO_THRESHOLD of the largest out-of-pulse |P|, and sits more
-    than one grid step from every pulse interval. Peaks within three grid
-    steps plus the longest pulse duration of a ledger prediction are labeled
-    E1/E2 by prediction order, anything else "other"; the ledger counts from
-    pulse centres, so finite pulses shift echoes by up to about a duration.
-    im_sign is the sign of Im P at the peak. The report carries the
-    prediction, predict_echo_times(seq), whether or not any peak is found.
+    clears _ECHO_THRESHOLD of the largest out-of-pulse |P| and the absolute
+    _ECHO_FLOOR, and sits more than one grid step from every pulse interval.
+    Peaks within three grid steps plus the longest pulse duration of a
+    ledger prediction are labeled E1/E2 by prediction order, anything else
+    "other"; the ledger counts from pulse centres, so finite pulses shift
+    echoes by up to about a duration. im_sign is the sign of Im P at the
+    peak. The report carries the prediction, predict_echo_times(seq),
+    whether or not any peak is found.
     """
     times = np.asarray(times, dtype=float)
     pol = np.asarray(polarization, dtype=complex)
@@ -528,8 +543,7 @@ def detect_echoes(times: np.ndarray, polarization: np.ndarray, seq: PulseSequenc
         excluded |= (times >= p.t_start - pad) & (times <= p.t_end + pad)
 
     mag = np.abs(pol)
-    # with no open sample above 0, thr is 0 and no open sample tops its left neighbor
-    thr = _ECHO_THRESHOLD * float(np.max(mag, where=~excluded, initial=0.0))
+    thr = max(_ECHO_THRESHOLD * float(np.max(mag, where=~excluded, initial=0.0)), _ECHO_FLOOR)
 
     window = 3.0 * dt + max((p.duration for p in seq.pulses), default=0.0) + 1e-12
     mid = mag[1:-1]

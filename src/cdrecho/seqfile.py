@@ -117,7 +117,7 @@ def parse_sequence_file(text: str) -> tuple[PulseSequence, EnsembleSpec, np.ndar
             raise SequenceFileError("INVALID_VALUE", f"{where} must be an object")
         _known(entry, ("channel", "area_pi", "t_start", "duration"), where)
         chan_name = _require(entry, "channel", where)
-        if chan_name not in _CHANNELS:
+        if not isinstance(chan_name, str) or chan_name not in _CHANNELS:
             raise SequenceFileError(
                 "UNKNOWN_CHANNEL",
                 f"{where} channel {chan_name!r} is not one of {sorted(_CHANNELS)}",

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -345,6 +346,7 @@ class TestEcho:
             (61, 9.0, 0.005, 0.2),
             (1001, 4.0, 0.01, 0.5),
             (2001, 4.0, 0.0005, 0.5),  # 1001 samples inside each square pulse
+            (20001, 4.0, 0.0005, 0.5),  # where the pulses' 4-column sum sets the estimate
         ],
     )
     def test_echo_peak_stays_under_its_estimate(
@@ -400,6 +402,57 @@ class TestEcho:
         out = capsys.readouterr().out
         assert "predicted echo times (us): none" in out
         assert "no echoes detected" in out
+
+    @pytest.mark.parametrize(
+        "pulse",
+        [
+            {"channel": "optical12", "area_pi": 1e-320, "t_start": 0.0, "duration": 0.2},
+            {"channel": "optical12", "area_pi": 1.0, "t_start": 0.0, "duration": 1e-300},
+        ],
+        ids=["area-1e-320-pi", "duration-1e-300-us"],
+    )
+    def test_rounding_noise_prints_no_echo(self, tmp_path, capsys, pulse):
+        # both traces are rounding noise, |P| up to about 1.3e-16 here, under
+        # the absolute echo floor; relative to its own largest lobe alone,
+        # each printed an `other` peak
+        ensemble = {"sigma_hz": 1e6, "n_atoms": 61, "span": 4.0}
+        doc = {"pulses": [pulse], "ensemble": ensemble, "grid": {"t_end": 5.0, "dt": 0.01}}
+        seq = tmp_path / "noise.json"
+        seq.write_text(json.dumps(doc))
+        assert cli_main(["echo", "--seq", str(seq), "--engine", "ode"]) == 0
+        assert capsys.readouterr().out == "predicted echo times (us): none\nno echoes detected\n"
+
+    def test_weak_data_pulse_echo_clears_the_floor(self, tmp_path, capsys):
+        pulses = [
+            {"channel": "optical12", "area_pi": 1e-9, "t_start": 0.0},
+            {"channel": "optical12", "area_pi": 1.0, "t_start": 5.0},
+        ]
+        doc = {"pulses": pulses, "ensemble": {"n_atoms": 201}, "grid": {"t_end": 15.0}}
+        seq = tmp_path / "weak.json"
+        seq.write_text(json.dumps(doc))
+        assert cli_main(["echo", "--seq", str(seq)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "predicted echo times (us): 10.000000",
+            "E1 emissive t=10.000000us |P|=1.570796e-09 ImP=+1.570796e-09",
+        ]
+
+
+def test_readme_states_the_echo_transcripts_and_every_error_code(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    # a `$ cdrecho ...` line, then its output up to a blank line or the fence
+    transcripts = re.findall(r"^\$ cdrecho (.+)\n((?:(?!```)[^\n]+\n)+)", readme, re.M)
+    assert [argv for argv, _ in transcripts] == [
+        "echo --seq sequences/dr.json",
+        "echo --seq sequences/cdr.json",
+    ]
+    for argv, out in transcripts:
+        assert cli_main([str(ROOT / a) if a.endswith(".json") else a for a in argv.split()]) == 0
+        assert capsys.readouterr().out.splitlines() == out.splitlines()
+
+    error = re.compile(r"(?:SequenceFileError|CsvWriteError)\(\s*\"([A-Z_]+)\"")
+    codes = {c for f in (ROOT / "src").rglob("*.py") for c in error.findall(f.read_text())}
+    assert {"SYNTAX_ERROR", "NON_FINITE_VALUE", "PROBLEM_TOO_LARGE"} <= codes
+    assert sorted(c for c in codes if f"`{c}`" not in readme) == []
 
 
 class TestPropagate:

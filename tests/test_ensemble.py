@@ -93,6 +93,22 @@ def wide_cdr_seq():
     )
 
 
+def finite_cdr():
+    """(seq, spec, times) of echo-finite's seed-1 shape: data, r1, c1, c2 and r2
+    as 0.2 us square pulses on 61 atoms at 0.6 MHz, 9 us at 0.01 us."""
+    width = 0.2 * US
+    seq = pulse_seq(
+        (Channel.OPTICAL12, 0.1 * PI, 0.0, width),
+        (Channel.OPTICAL12, PI, 1.8 * US, width),
+        (Channel.CONTROL23, PI, 2.3 * US, width),
+        (Channel.CONTROL23, PI, 3.5 * US, width),
+        (Channel.OPTICAL12, PI, 6.38 * US, width),
+        t_end=9 * US,
+    )
+    spec = EnsembleSpec(sigma=2 * PI * 0.6e6, n_atoms=61, span=4.0)
+    return seq, spec, time_grid(9 * US, 0.01 * US)
+
+
 def detect_echoes_loop(times, pol, seq):
     """Per-sample loop form of detect_echoes: the reference for the vectorized one."""
     dt = float(np.median(np.diff(times)))
@@ -104,7 +120,7 @@ def detect_echoes_loop(times, pol, seq):
     open_mag = mag[~excluded]
     if open_mag.size == 0 or open_mag.max() == 0.0:
         return ()
-    thr = 0.2 * float(open_mag.max())
+    thr = max(0.2 * float(open_mag.max()), 1e-12)
     predicted = predict_echo_times(seq)
     window = 3.0 * dt + max((p.duration for p in seq.pulses), default=0.0) + 1e-12
     events = []
@@ -139,6 +155,9 @@ class TestEnsembleSpec:
             EnsembleSpec(n_atoms=1)
         with pytest.raises(ValueError):
             EnsembleSpec(span=-1.0)
+        for n_atoms in (2**53 + 1, 10**400 + 1):  # past what trace_bytes counts in floats
+            with pytest.raises(ValueError, match="2\\*\\*53"):
+                EnsembleSpec(n_atoms=n_atoms)
 
     @pytest.mark.parametrize(
         "sigma_hz, span",
@@ -519,12 +538,11 @@ class TestProtocolEchoes:
         assert trace.pop_excited[i2] < trace.pop_ground[i2]
 
     def test_comb_is_weighted_sum_of_single_atoms(self):
-        # the shipped cdr sequence through every route that takes hard pulses;
-        # every pulse instant is on this grid
-        spec = EnsembleSpec(n_atoms=7)
-        times = time_grid(45 * US, 0.5 * US)
-        routes = check_route_pairs(cdr_seq(), spec, times)
-        assert routes == ["comb walk", "run_sequence_hard", "eigh"]
+        # through every route that takes its pulses: the shipped cdr sequence,
+        # every pulse instant on its grid, and echo-finite's seed-1 shape
+        cdr = (cdr_seq(), EnsembleSpec(n_atoms=7), time_grid(45 * US, 0.5 * US))
+        assert check_route_pairs(*cdr) == ["comb walk", "run_sequence_hard", "eigh"]
+        assert check_route_pairs(*finite_cdr()) == ["comb walk", "eigh"]
 
     @settings(max_examples=25)
     @given(sequences("hard"), st.sampled_from([3, 9, 31, 41]), st.sampled_from([2.0, 3.0, 5.0]))
@@ -693,17 +711,7 @@ class TestDetectEchoes:
     def test_finite_pulse_echo_off_ledger_is_still_labeled(self):
         # the centre-based ledger puts E2 at 8.06 us; with 0.2 us pulses the
         # peak lands at 8.13 us, seven steps away, and must still read E2
-        width = 0.2 * US
-        seq = pulse_seq(
-            (Channel.OPTICAL12, 0.1 * PI, 0.0, width),
-            (Channel.OPTICAL12, PI, 1.8 * US, width),
-            (Channel.CONTROL23, PI, 2.3 * US, width),
-            (Channel.CONTROL23, PI, 3.5 * US, width),
-            (Channel.OPTICAL12, PI, 6.38 * US, width),
-            t_end=9 * US,
-        )
-        spec = EnsembleSpec(sigma=2 * PI * 0.6e6, n_atoms=61, span=4.0)
-        times = time_grid(9 * US, 0.01 * US)
+        seq, spec, times = finite_cdr()
         pol = simulate_ensemble(seq, spec, times, engine="ode").polarization
         assert predict_echo_times(seq) == pytest.approx([4.9 * US, 8.06 * US])
         report = detect_echoes(times, pol, seq)
@@ -881,6 +889,18 @@ class TestOdeEngine:
         routes = check_route_pairs(case[0], EnsembleSpec(n_atoms=n_atoms, span=span), case[1])
         assert {"comb walk", "eigh"} <= set(routes)
 
+    def test_square_pulse_sums_take_one_column_per_output(self):
+        # each square pulse sums one coefficient per beat of the half comb's
+        # 31 atoms and per output, P and three populations; each free stretch
+        # one column of rho12 over the comb's ladder
+        seq, spec, times = finite_cdr()
+        with mock.patch.object(ensemble, "_phase_sum", wraps=_phase_sum) as spy:
+            simulate_ensemble(seq, spec, times, engine="ode")
+        pulses = [call.args[4].shape for call in spy.call_args_list if len(call.args) == 5]
+        free = [call.args[4].shape for call in spy.call_args_list if len(call.args) == 6]
+        assert pulses == [(3 * (spec.n_atoms + 1) // 2, 4)] * len(seq.pulses)
+        assert free and set(free) == {((spec.n_atoms + 1) // 2, 1)}
+
     def test_engine_argument_validation(self):
         spec = EnsembleSpec(n_atoms=5)
         times = time_grid(1 * US, 0.1 * US)
@@ -906,6 +926,7 @@ class TestOdeEngine:
             np.array([1.0, 0.5, 0.0]) * US,  # uniform, but decreasing
             np.array([0.0, 0.1, 0.35, 0.45, 0.7, 0.8]) * US,  # increasing, not uniform
             np.cumsum(np.random.default_rng(0).exponential(1e-8, 50)),
+            np.array([0.0, 1e301]),  # the comb's largest phase there overflows
             nudged,
             np.array([np.nan]),
             np.array([np.inf]),
@@ -930,11 +951,11 @@ class TestSizeBudget:
     def test_trace_past_the_budget_is_refused_before_allocating(
         self, n_atoms, duration, engine
     ):
-        # 18001 samples: over 2 GiB for a million-atom comb, or for 60001 atoms
+        # 25001 samples: over 2 GiB for a million-atom comb, or for 60001 atoms
         # inside a square pulse that spans the window
         seq = pulse_seq((Channel.OPTICAL12, 0.5 * PI, 0.5 * US, duration), t_end=45 * US)
         spec = EnsembleSpec(n_atoms=n_atoms)
-        times = time_grid(45 * US, 0.0025 * US)
+        times = time_grid(45 * US, 0.0018 * US)
         pulse_samples = int(np.sum((times >= 0.5 * US) & (times < 0.5 * US + duration)))
         assert trace_bytes(n_atoms, times.size, pulse_samples) > _TRACE_BUDGET_BYTES
         tracemalloc.start()

@@ -126,10 +126,10 @@ class TestErrorCodes:
             assert self._code(json.dumps({"pulses": [entry]})) == "MISSING_REQUIRED_FIELD"
 
     def test_unknown_channel(self):
-        text = json.dumps(
-            {"pulses": [{"channel": "spin13", "area_pi": 1.0, "t_start": 0.0}]}
-        )
-        assert self._code(text) == "UNKNOWN_CHANNEL"
+        # a list or an object as the channel once raised an unhashable-type TypeError
+        for channel in ("spin13", ["optical12"], {"optical12": 1}, None, 12):
+            text = json.dumps({"pulses": [{"channel": channel, "area_pi": 1.0, "t_start": 0.0}]})
+            assert self._code(text) == "UNKNOWN_CHANNEL"
 
     def test_overlapping_pulses(self):
         text = json.dumps(
@@ -289,10 +289,10 @@ class TestSizeBudget:
 
     def test_one_pulse_sample_decides_at_the_edge(self):
         # a square pulse filling most of the window: its walk term,
-        # phase_sum(pulse_samples, 3 n_atoms, 5), sets trace_bytes, so the
+        # phase_sum(pulse_samples, 3 n_atoms, 4), sets trace_bytes, so the
         # longest pulse that fits is accepted and one dt more is refused,
         # before the time grid exists
-        n_atoms, t_end, dt = 25001, 500.0, 0.005
+        n_atoms, t_end, dt = 30001, 500.0, 0.005
         n_t = t_end * US / (dt * US) + 2.0
 
         def duration(m):  # m steps of dt, in us
