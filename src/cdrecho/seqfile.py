@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -103,6 +104,10 @@ def parse_sequence_file(text: str) -> tuple[PulseSequence, EnsembleSpec, np.ndar
         ) from exc
     except RecursionError as exc:
         raise SequenceFileError("SYNTAX_ERROR", "nested too deeply to parse") from exc
+    except ValueError as exc:  # after JSONDecodeError, a ValueError itself
+        raise SequenceFileError(
+            "SYNTAX_ERROR", f"an integer longer than {sys.get_int_max_str_digits()} digits"
+        ) from exc
     if not isinstance(doc, dict):
         raise SequenceFileError("SYNTAX_ERROR", "top level must be an object")
     _known(doc, ("pulses", "ensemble", "grid"), "sequence")

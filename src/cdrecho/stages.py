@@ -56,6 +56,11 @@ class StageAreas:
         for name in ("phi_d", "phi_r1", "phi_c1", "phi_c2", "phi_r2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        # the closed forms add the optical areas and the control areas
+        if not math.isfinite(self.phi_d + self.phi_r1 + self.phi_r2):
+            raise ValueError("phi_d + phi_r1 + phi_r2 must be finite")
+        if not math.isfinite(self.phi_c1 + self.phi_c2):
+            raise ValueError("phi_c1 + phi_c2 must be finite")
 
 
 # the canonical protocol: pi rephasing and control pulses after a weak

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,9 +28,9 @@ MAX_SWEEP_STEPS = 10**6  # a one-call sweep holds about 280 B per point: 280 MB
 class SweepSpec:
     """One-dimensional area sweep of a named stage.
 
-    varying must be one of the stage's area names; lo/hi are radians and the
-    grid has `steps` evenly spaced points including both ends, at most
-    MAX_SWEEP_STEPS of them.
+    varying must be one of the stage's area names; lo/hi are radians, with a
+    finite hi - lo, and the grid has `steps` evenly spaced points including
+    both ends, at most MAX_SWEEP_STEPS of them.
     """
 
     stage: str
@@ -48,12 +48,15 @@ class SweepSpec:
             raise ValueError(
                 f"stage {self.stage!r} has no area {self.varying!r}; it takes {names}"
             )
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)) or self.hi <= self.lo:
-            raise ValueError("need finite lo < hi")
+        # hi - lo sets the grid's step, so it must be finite too
+        if not math.isfinite(self.hi - self.lo) or self.hi <= self.lo:
+            raise ValueError("need finite lo < hi with a finite hi - lo")
         if not isinstance(self.steps, numbers.Integral):
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if not 2 <= self.steps <= MAX_SWEEP_STEPS:
             raise ValueError(f"steps must be in [2, {MAX_SWEEP_STEPS}]")
+        for end in (self.lo, self.hi):  # the stage's sums of areas at both ends
+            replace(self.fixed, **{self.varying: end})
 
 
 def run_sweep(spec: SweepSpec) -> Table:

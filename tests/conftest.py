@@ -13,7 +13,9 @@ returns passes `validate`. `hard_states` and `eigh_states` give one atom's
 states.
 """
 
+import importlib
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, NamedTuple
@@ -38,6 +40,13 @@ from cdrecho.integrator import _hermitian_checked, _rhs_elements
 
 settings.register_profile("cdrecho", deadline=None, print_blob=True)
 settings.load_profile("cdrecho")
+
+# hypothesis imports this module when it reports a falsifying example; its
+# libcst import warns DeprecationWarning, which the error filters in
+# pyproject.toml would turn into an INTERNALERROR that hides the example
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    importlib.import_module("hypothesis.extra._patching")
 
 PI = math.pi
 

@@ -1,16 +1,19 @@
-"""The `echo` contract under mutated sequence files: exit 0 or 2, never a
-traceback, one coded error line on a refusal, and no allocation past a
-lowered trace budget.
+"""The CLI contract under mutated inputs: exit 0 or 2, never a traceback,
+one coded error line on a refusal, and no allocation past a lowered trace
+budget.
 
 `documents` draws a valid sequence file, hard or square pulses on a small
 comb, and `mutated` breaks it: extreme floats, wrong types, unknown and
 duplicated keys, deep nesting and huge atom counts, rendered as JSON text.
+`arguments` draws the options of `sweep`, `stages` and `propagate` from
+extreme, malformed and missing values.
 """
 
 import contextlib
 import copy
 import io
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -20,7 +23,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdrecho import ensemble
-from cdrecho.cli import cli_main
+from cdrecho.cli import _parser, cli_main
+from cdrecho.stages import COLUMNS, STAGES
 
 # about 6000 samples of a small comb: every draw that passes allocates a few MB
 BUDGET_BYTES = 4 * 2**20
@@ -123,9 +127,11 @@ def run_echo(text: str, engine: str) -> tuple[int, str, str]:
 
 @settings(max_examples=300)
 @given(mutated(), st.sampled_from(["hard", "ode"]))
-# each of these once raised: an atom count past the float range, a list as
+# each of these once raised or printed no code of its own: an atom count past
+# the float range, an integer past the interpreter's digit limit, a list as
 # the channel, and a step whose one sample puts the comb's phase past it
 @example('{"pulses": [], "ensemble": {"n_atoms": ' + str(10**400 + 1) + "}}", "hard")
+@example('{"pulses": [], "ensemble": {"n_atoms": ' + "9" * 4301 + "}}", "hard")
 @example('{"pulses": [{"channel": [1.0], "area_pi": 1, "t_start": 0}]}', "hard")
 @example(
     '{"pulses": [{"channel": "optical12", "area_pi": 0.5, "t_start": 0}],'
@@ -141,3 +147,96 @@ def test_echo_exits_0_or_2_with_one_coded_line(text, engine):
         assert re.fullmatch(r"error: [A-Z_]+: [^\n]*\n", err), err
     else:
         assert out.startswith("predicted echo times (us): ")
+
+
+NUMBERS = ["0", "-0.0", "0.5", "1", "4", "-3", "1e308", "-1e308", "5e-324", "1e-320",
+           "5e307", "-5e307", "nan", "inf", "-inf", "1e400", "abc", "", "0x10", "1_0"]
+# a sweep holds about 280 B per point: either few points or a count it refuses
+STEPS = ["-1", "0", "1", "2", "3", "17", str(10**6 + 1), str(10**30), "2.5", "x", ""]
+AREAS = ("--phid", "--phir1", "--phic1", "--phic2", "--phir2")
+AREA_NAMES = sorted({n for names, _ in STAGES.values() for n in names})
+OPTIONS = {  # the options each command takes, and whether it requires them
+    "sweep": {"--stage": True, "--varying": True, "--lo": False, "--hi": False,
+              "--steps": False, **dict.fromkeys(AREAS, False)},
+    "stages": {"--phid": True, **dict.fromkeys(AREAS[1:], False)},
+    "propagate": {"--phi0": True, "--alpha": True, "--zmax": True},
+}
+
+
+def _values(option):
+    if option == "--stage":
+        return st.sampled_from([*STAGES, "r3", ""])
+    if option == "--varying":
+        return st.sampled_from([*AREA_NAMES, "phi_x"])
+    if option == "--steps":
+        return st.sampled_from(STEPS)
+    return st.one_of(st.sampled_from(NUMBERS), st.floats().map(repr))
+
+
+@st.composite
+def arguments(draw):
+    """(command, argv after the command, whether to add --out): each option
+    as `--name value` or `--name=value`, a required one left out now and then,
+    an optional one given twice now and then."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    names = [n for n, required in OPTIONS[command].items() if required and draw(st.integers(0, 19))]
+    names += draw(st.lists(st.sampled_from(list(OPTIONS[command])), max_size=4))
+    argv = []
+    for name in names:
+        value = draw(_values(name))
+        argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+    return command, argv, command != "stages" and draw(st.booleans())
+
+
+def _cells(lines: list[str], header: list[str]) -> list[list[float]]:
+    """The rows below the header as finite floats, each as wide as the header."""
+    assert lines[0].split(",") == header, lines[0]
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    assert all(len(r) == len(header) and all(map(math.isfinite, r)) for r in rows)
+    return rows
+
+
+def _check_output(command: str, argv: list[str], text: str) -> None:
+    """The documented table: a sweep's meta line, header and one row per grid
+    point; the five stages; propagate's meta line and 1 or 1001 depths."""
+    lines = text.splitlines()
+    if command == "stages":
+        rows = _cells([line.split(",", 1)[1] for line in lines], list(COLUMNS))
+        assert [line.split(",")[0] for line in lines] == ["stage", "D", "R1", "C1", "C2", "R2"]
+        assert len(rows) == 5
+    elif command == "sweep":
+        assert lines[0].startswith("# stage=") and lines[1].endswith("_rad," + ",".join(COLUMNS))
+        rows = _cells(lines[1:], lines[1].split(","))
+        assert len(rows) == _parser().parse_args([command, *argv]).steps
+    else:
+        assert lines[0].startswith("# phi0_rad=")
+        assert len(_cells(lines[1:], ["z", "phi_rad"])) in (1, 1001)
+
+
+@settings(max_examples=300)
+@given(arguments())
+# each of these once gave a NaN table: a grid whose hi - lo overflows, and
+# areas whose sum in a closed form overflows
+@example(("sweep", ["--stage", "data", "--varying", "phi_d", "--lo=-5e307", "--hi=5e307"], False))
+@example(("sweep", ["--stage", "r1", "--varying", "phi_r1", "--phid=5e307", "--hi=5e307"], True))
+@example(("stages", ["--phid", "0", "--phic1", "5e307", "--phic2", "5e307"], False))
+def test_sweep_stages_and_propagate_exit_0_or_2_with_one_error_line(drawn):
+    command, argv, to_file = drawn
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli_main([command, *argv, *(["--out", str(path)] if to_file else [])])
+        written = path.read_text(encoding="ascii") if rc == 0 and to_file else None
+    out, err = out.getvalue(), err.getvalue()
+    assert rc in (0, 2), (rc, err)
+    if rc == 2:
+        assert out == ""
+        # a value argparse refuses prints its usage; one the run refuses, its code
+        usage = rf"usage: cdrecho {command} .*\ncdrecho {command}: error: [^\n]*\n"
+        assert re.fullmatch(r"error: [A-Z_]+: [^\n]*\n", err) or re.fullmatch(usage, err, re.S), err
+    elif to_file:
+        assert out == ""
+        _check_output(command, argv, written)
+    else:
+        _check_output(command, argv, out)

@@ -1,6 +1,7 @@
 """Deterministic CSV rendering and the numeric table container."""
 
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,19 @@ def piecewise_constant_tables(draw):
             column += [draw(value)] * draw(st.integers(min_value=1, max_value=3 * m))
         columns.append(column[:n])
     return table_of(np.array(columns).T)
+
+
+@st.composite
+def headed_tables(draw):
+    """A piecewise_constant_tables table with % in its column names and meta,
+    and with all of its rows or none."""
+    table = draw(piecewise_constant_tables())
+    name = st.text(alphabet="ab%sd(._", min_size=1, max_size=6)
+    m = table.rows.shape[1]
+    columns = tuple(draw(st.lists(name, min_size=m, max_size=m)))
+    meta = tuple(draw(st.lists(st.tuples(name, name), max_size=3)))
+    rows = table.rows[: draw(st.sampled_from([0, table.rows.shape[0]]))]
+    return Table(columns=columns, rows=rows, meta=meta)
 
 
 class TestFormatFloat:
@@ -246,12 +260,24 @@ class TestWriteCsv:
         assert data == render_csv(t).encode("ascii")
         assert b"\r" not in data
 
+    @settings(max_examples=150)
+    @given(table=headed_tables())
+    def test_file_bytes_are_the_per_cell_text(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            write_csv(table, path)
+            assert path.read_bytes() == per_cell(table).encode("ascii")
+
     def test_text_that_is_not_ascii_raises_before_the_file_exists(self, tmp_path):
-        t = Table(columns=("a",), rows=np.zeros((1, 1)), meta=(("source", "donn\u00e9es.json"),))
-        path = tmp_path / "t.csv"
-        with pytest.raises(UnicodeEncodeError):
-            write_csv(t, path)
-        assert not path.exists()
+        meta = Table(columns=("a",), rows=np.zeros((1, 1)), meta=(("source", "donn\u00e9es.json"),))
+        column = Table(columns=("\u03c6",), rows=np.zeros((0, 1)))
+        for table in (meta, column):
+            with pytest.raises(UnicodeEncodeError):
+                render_csv(table)
+            path = tmp_path / "t.csv"
+            with pytest.raises(UnicodeEncodeError):
+                write_csv(table, path)
+            assert not path.exists()
 
     def test_values_survive_reparse_to_twelve_digits(self, tmp_path):
         rng = np.random.default_rng(77)

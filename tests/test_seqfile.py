@@ -112,6 +112,15 @@ class TestErrorCodes:
         # json.loads raises RecursionError here, not JSONDecodeError
         assert self._code("[" * 100000 + "]" * 100000) == "SYNTAX_ERROR"
 
+    def test_integer_past_the_digit_limit_is_a_syntax_error(self):
+        # json.loads raises a plain ValueError here, whose advice names a
+        # function of the interpreter
+        text = '{"pulses": [], "ensemble": {"n_atoms": ' + "1" * 4301 + "}}"
+        with pytest.raises(SequenceFileError, match=r"integer longer than \d+ digits") as exc:
+            parse_sequence_file(text)
+        assert exc.value.code == "SYNTAX_ERROR"
+        assert "set_int_max_str_digits" not in str(exc.value)
+
     def test_syntax_error_reports_location(self):
         with pytest.raises(SequenceFileError, match=r"line \d+ column \d+"):
             parse_sequence_file('{"pulses": [}')

@@ -182,3 +182,14 @@ class TestAreaValidation:
             StageAreas(math.nan, PI, PI, PI, PI)
         with pytest.raises(ValueError):
             StageAreas(0.1 * PI, PI, PI, PI, math.inf)
+
+    def test_area_sums_that_overflow_rejected(self):
+        # the closed forms add the optical areas and the control areas
+        big = 1e308
+        with pytest.raises(ValueError, match="phi_d \\+ phi_r1 \\+ phi_r2"):
+            StageAreas(big, big, PI, PI, PI)
+        with pytest.raises(ValueError, match="phi_d \\+ phi_r1 \\+ phi_r2"):
+            StageAreas(0.0, big, PI, PI, big)
+        with pytest.raises(ValueError, match="phi_c1 \\+ phi_c2"):
+            StageAreas(0.0, PI, big, big, PI)
+        StageAreas(big, -big, big, -big, big)

@@ -46,6 +46,11 @@ class TestSweepSpec:
             SweepSpec(stage="r1", varying="phi_c1", lo=0, hi=1, steps=5, fixed=WEAK)
         with pytest.raises(ValueError, match="lo < hi"):
             SweepSpec(stage="r1", varying="phi_r1", lo=1, hi=1, steps=5, fixed=WEAK)
+        with pytest.raises(ValueError, match="finite hi - lo"):
+            SweepSpec(stage="r1", varying="phi_r1", lo=-1e308, hi=1e308, steps=5, fixed=WEAK)
+        with pytest.raises(ValueError, match="phi_d \\+ phi_r1 \\+ phi_r2"):
+            SweepSpec(stage="r1", varying="phi_d", lo=0, hi=1.7e308, steps=5,
+                      fixed=StageAreas(0.0, 1e308, PI, PI, 0.0))
         with pytest.raises(ValueError, match="steps"):
             SweepSpec(stage="r1", varying="phi_r1", lo=0, hi=1, steps=1, fixed=WEAK)
 

@@ -66,6 +66,24 @@ def test_figures_sweep_and_stages_record_probe_spans(monkeypatch, capsys, tmp_pa
     assert tracer.counts["sweeps.points"] == 14 * 401 + steps
 
 
+def test_echo_and_figures_count_the_bytes_of_every_file_written(monkeypatch, capsys, tmp_path):
+    # the tracer counts csvio.bytes from render_csv's text, which write_csv encodes
+    tracer = _load_tracing(monkeypatch).Tracer()
+    tracer.install()
+    seq = str(ROOT / "sequences" / "cdr.json")
+    try:
+        assert cli_main(["echo", "--seq", seq, "--out", str(tmp_path / "echo.csv")]) == 0
+        assert cli_main(["figures", "--out", str(tmp_path / "figures")]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    files = sorted(tmp_path.rglob("*.csv"))
+    assert len(files) == 15
+    spans = [span for span in tracer.spans if span[2] == "csvio.render_csv_s"]
+    assert len(spans) == len(files)
+    assert tracer.counts["csvio.bytes"] == sum(path.stat().st_size for path in files)
+
+
 def test_propagate_records_area_span_and_steps(monkeypatch, capsys):
     # the tracer counts area.steps as the table's rows minus one
     tracer = _load_tracing(monkeypatch).Tracer()
