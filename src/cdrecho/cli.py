@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -214,9 +215,37 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cli_main(argv: list[str] | None = None) -> int:
+def _negative_floats_joined(argv: list[str]) -> list[str]:
+    """argv with each `--name -<float>` written as `--name=-<float>`.
+
+    argparse (Python 3.11) takes only `-1` and `-0.5` shapes for values and
+    reads `-2e-3` or `-inf` as an option. No cdrecho option but --help is a
+    flag and none is positional, so a negative float after `--name` can only
+    be its value.
+    """
+    out: list[str] = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        option = prev != "--help" and re.fullmatch(r"--\w[\w-]*", prev)
+        if option and arg.startswith("-") and _is_float(arg):
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
+def _is_float(text: str) -> bool:
     try:
-        args = _parser().parse_args(argv)
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def cli_main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = _parser().parse_args(_negative_floats_joined(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +112,29 @@ def render_csv(table: Table) -> str:
 
 def write_csv(table: Table, path) -> None:
     """Write render_csv(table) as ASCII; text it cannot encode raises
-    UnicodeEncodeError before the file is opened, so no file is left."""
+    UnicodeEncodeError before the file is opened, so no file is left.
+
+    An existing file is rewritten in place, not truncated first: on ext4 a
+    truncate to zero makes close start writeback, and the next truncate waits
+    for it. The bytes go over the old ones, then a longer regular file loses
+    its tail. Links, inode, mode and errors are those of open(path, "wb"). A
+    write that fails leaves a regular file empty, never the new head on the
+    old tail. No fsync is called.
+    """
     data = render_csv(table).encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(data)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        old = os.fstat(fd)
+        regular = stat.S_ISREG(old.st_mode)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if regular and old.st_size > len(data):
+                os.ftruncate(fd, len(data))
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+    finally:
+        os.close(fd)

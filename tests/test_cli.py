@@ -28,6 +28,7 @@ FIGURE_NAMES = {
     for n, letters in (("2", "abcd"), ("3", "abcd"), ("4", "ab"), ("5", "abcd"))
     for letter in letters
 }
+AREA_OPTIONS = ("--phid", "--phir1", "--phic1", "--phic2", "--phir2")
 
 
 class TestUsageErrors:
@@ -106,6 +107,27 @@ class TestParser:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments" in captured.err
+
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [("sweep", o) for o in ("--lo", "--hi", *AREA_OPTIONS)]
+        + [("stages", o) for o in AREA_OPTIONS]
+        + [("propagate", o) for o in ("--phi0", "--alpha", "--zmax")],
+    )
+    @pytest.mark.parametrize("value", ["-2e-3", "-1e308", "-0.5", "-inf"])
+    def test_negative_float_after_an_option_is_its_value(self, command, option, value, capsys):
+        base = {
+            "sweep": ["--stage", "r1", "--varying", "phi_r1", "--steps", "3"],
+            "stages": ["--phid", "0.1"],
+            "propagate": ["--phi0", "0.1", "--alpha", "1", "--zmax", "1"],
+        }[command]
+        runs = []
+        for given in ([option, value], [f"{option}={value}"]):
+            rc = cli_main([command, *base, *given])  # the last of two options wins
+            runs.append((rc, *capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert "expected one argument" not in runs[0][2]
 
 
 class TestFigures:

@@ -6,7 +6,8 @@ budget.
 comb, and `mutated` breaks it: extreme floats, wrong types, unknown and
 duplicated keys, deep nesting and huge atom counts, rendered as JSON text.
 `arguments` draws the options of `sweep`, `stages` and `propagate` from
-extreme, malformed and missing values.
+extreme, malformed and missing values; now and then a longer old file waits
+where `--out` writes, and a run must replace it whole or leave it as it was.
 """
 
 import contextlib
@@ -23,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdrecho import ensemble
-from cdrecho.cli import _parser, cli_main
+from cdrecho.cli import _negative_floats_joined, _parser, cli_main
 from cdrecho.stages import COLUMNS, STAGES
 
 # about 6000 samples of a small comb: every draw that passes allocates a few MB
@@ -207,27 +208,40 @@ def _check_output(command: str, argv: list[str], text: str) -> None:
     elif command == "sweep":
         assert lines[0].startswith("# stage=") and lines[1].endswith("_rad," + ",".join(COLUMNS))
         rows = _cells(lines[1:], lines[1].split(","))
-        assert len(rows) == _parser().parse_args([command, *argv]).steps
+        assert len(rows) == _parser().parse_args(_negative_floats_joined([command, *argv])).steps
     else:
         assert lines[0].startswith("# phi0_rad=")
         assert len(_cells(lines[1:], ["z", "phi_rad"])) in (1, 1001)
 
 
+# an old --out file longer than any table a drawn run writes, and no table
+STALE = b"stale,bytes\n" * 20000
+
+
 @settings(max_examples=300)
-@given(arguments())
+@given(arguments(), st.integers(0, 3).map(lambda k: k == 0))  # now and then a stale --out
 # each of these once gave a NaN table: a grid whose hi - lo overflows, and
 # areas whose sum in a closed form overflows
-@example(("sweep", ["--stage", "data", "--varying", "phi_d", "--lo=-5e307", "--hi=5e307"], False))
-@example(("sweep", ["--stage", "r1", "--varying", "phi_r1", "--phid=5e307", "--hi=5e307"], True))
-@example(("stages", ["--phid", "0", "--phic1", "5e307", "--phic2", "5e307"], False))
-def test_sweep_stages_and_propagate_exit_0_or_2_with_one_error_line(drawn):
+@example(
+    ("sweep", ["--stage", "data", "--varying", "phi_d", "--lo=-5e307", "--hi=5e307"], False), False
+)
+@example(
+    ("sweep", ["--stage", "r1", "--varying", "phi_r1", "--phid=5e307", "--hi=5e307"], True), True
+)
+@example(("stages", ["--phid", "0", "--phic1", "5e307", "--phic2", "5e307"], False), False)
+# a negative float in exponent form is a value, not an option
+@example(("propagate", ["--phi0", "-2e-3", "--alpha", "1", "--zmax", "1"], True), True)
+def test_sweep_stages_and_propagate_exit_0_or_2_with_one_error_line(drawn, stale):
     command, argv, to_file = drawn
+    stale = to_file and stale
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "out.csv"
+        if stale:
+            path.write_bytes(STALE)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = cli_main([command, *argv, *(["--out", str(path)] if to_file else [])])
-        written = path.read_text(encoding="ascii") if rc == 0 and to_file else None
+        written = path.read_bytes() if path.exists() else None
     out, err = out.getvalue(), err.getvalue()
     assert rc in (0, 2), (rc, err)
     if rc == 2:
@@ -235,8 +249,10 @@ def test_sweep_stages_and_propagate_exit_0_or_2_with_one_error_line(drawn):
         # a value argparse refuses prints its usage; one the run refuses, its code
         usage = rf"usage: cdrecho {command} .*\ncdrecho {command}: error: [^\n]*\n"
         assert re.fullmatch(r"error: [A-Z_]+: [^\n]*\n", err) or re.fullmatch(usage, err, re.S), err
+        assert written == (STALE if stale else None)
     elif to_file:
         assert out == ""
-        _check_output(command, argv, written)
+        assert len(written) < len(STALE)
+        _check_output(command, argv, written.decode("ascii"))  # a stale tail fails here
     else:
         _check_output(command, argv, out)

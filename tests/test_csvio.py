@@ -1,7 +1,12 @@
 """Deterministic CSV rendering and the numeric table container."""
 
+import errno
 import math
+import os
+import shutil
+import signal
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +22,33 @@ ROOT = Path(__file__).resolve().parents[1]
 # the values whose text a run must keep: signed zeros, the smallest subnormal,
 # rounding noise and exactly representable numbers
 RUN_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.0, 0.5, -2.16840434497e-19, 1e300]
+# an old file longer than any table written over it here
+STALE = b"stale,bytes\n" * 1000
+
+
+def unprivileged(attempt, timeout: float = 60.0) -> int:
+    """attempt()'s integer result, run in a child process that drops root's
+    file access to the user and group nobody (65534); in the same process
+    when not root."""
+    if os.geteuid() != 0:
+        return attempt()
+    pid = os.fork()
+    if pid == 0:  # the child leaves by os._exit alone, whatever attempt does
+        code = 99
+        try:
+            os.setgid(65534)
+            os.setuid(65534)
+            code = attempt()
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + timeout
+    while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise AssertionError(f"the child ran past {timeout} s")
+        time.sleep(0.01)
+    return os.waitstatus_to_exitcode(done[1])
 
 
 def per_cell(table: Table) -> str:
@@ -278,6 +310,106 @@ class TestWriteCsv:
             with pytest.raises(UnicodeEncodeError):
                 write_csv(table, path)
             assert not path.exists()
+            # nor is an existing file touched
+            path.write_bytes(STALE)
+            with pytest.raises(UnicodeEncodeError):
+                write_csv(table, path)
+            assert path.read_bytes() == STALE
+            path.unlink()
+
+    def test_non_finite_cell_leaves_an_existing_file_untouched(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(STALE)
+        with pytest.raises(CsvWriteError, match="nan"):
+            write_csv(table_of([[1.0, math.nan]]), path)
+        assert path.read_bytes() == STALE
+
+    @pytest.mark.parametrize("old_size", ["longer", "shorter", "equal"])
+    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path, old_size):
+        table = table_of(np.arange(12.0).reshape(4, 3))
+        new = render_csv(table).encode("ascii")
+        old = {"longer": STALE, "shorter": b"x\n", "equal": b"y" * len(new)}[old_size]
+        path = tmp_path / "t.csv"
+        path.write_bytes(old)
+        write_csv(table, path)
+        assert path.read_bytes() == new
+
+    def test_rewrite_through_a_symlink_keeps_the_link(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(STALE)
+        link.symlink_to(target)
+        table = table_of([[1.0, 2.0]])
+        write_csv(table, link)
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == render_csv(table).encode("ascii")
+
+    def test_rewrite_keeps_inode_mode_and_hard_links(self, tmp_path):
+        path, twin = tmp_path / "t.csv", tmp_path / "twin.csv"
+        path.write_bytes(STALE)
+        path.chmod(0o640)
+        os.link(path, twin)
+        before = os.stat(path)
+        table = table_of([[1.0, 2.0]])
+        write_csv(table, path)
+        after = os.stat(path)
+        assert (after.st_ino, after.st_mode, after.st_nlink) == (
+            before.st_ino, before.st_mode, before.st_nlink
+        )
+        assert twin.read_bytes() == render_csv(table).encode("ascii")
+
+    def test_read_only_file_is_refused_and_kept(self):
+        # root writes over any mode, so the attempts run as an unprivileged user
+        shared = Path(tempfile.mkdtemp())
+        try:
+            shared.chmod(0o755)
+            path = shared / "t.csv"
+            path.write_bytes(STALE)
+            path.chmod(0o444)
+            seq = shared / "dr.json"
+            seq.write_bytes((ROOT / "sequences" / "dr.json").read_bytes())
+
+            def write():
+                try:
+                    write_csv(table_of([[1.0]]), path)
+                except PermissionError:
+                    return 10
+                return 0
+
+            assert unprivileged(write) == 10
+            echo = ["echo", "--seq", str(seq), "--out", str(path)]
+            assert unprivileged(lambda: cli.cli_main(echo)) == 3
+            assert path.read_bytes() == STALE
+        finally:
+            shutil.rmtree(shared)
+
+    def test_character_device_gets_no_truncate(self, monkeypatch):
+        if not os.path.exists(os.devnull):
+            pytest.skip(f"no {os.devnull}")
+        cut = []
+        monkeypatch.setattr(os, "ftruncate", lambda fd, size: cut.append(size))
+        write_csv(table_of(np.zeros((3, 2))), os.devnull)
+        assert cut == []
+
+    def test_write_that_fails_part_way_leaves_an_empty_file(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "t.csv"
+        path.write_bytes(STALE)
+        real_write = os.write
+
+        def write_half(fd, data):
+            if len(data) < 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(fd, data[: len(data) // 2])
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "write", write_half)
+            with pytest.raises(OSError, match="No space"):
+                write_csv(table_of(np.arange(40.0).reshape(20, 2)), path)
+            assert path.read_bytes() == b""
+            path.write_bytes(STALE)
+            seq = str(ROOT / "sequences" / "dr.json")
+            assert cli.cli_main(["echo", "--seq", seq, "--out", str(path)]) == 3
+        assert "No space left on device" in capsys.readouterr().err
+        assert path.read_bytes() == b""
 
     def test_values_survive_reparse_to_twelve_digits(self, tmp_path):
         rng = np.random.default_rng(77)

@@ -289,35 +289,54 @@ class TestIntegrateSequence:
         # the message prints the bound it compared against
         assert float(re.search(r"need <= (\S+) ", str(err.value))[1]) == edge
 
-    def test_non_finite_rabi_frequency_refused_before_any_step(self, monkeypatch):
-        # 1e300 rad over 0.1 ns is a Rabi frequency of inf rad/s
-        seq = self._square_pulse_seq(1e300, 1e-10)
+    @staticmethod
+    def _refused_before_any_step(monkeypatch, match, seq, dt, **kwargs) -> ValueError:
+        """The ValueError integrate_sequence raises, checked to come before
+        its first step and under a tracemalloc peak of 1 MB."""
 
         def no_step(*args):
             raise AssertionError("stepped")
 
         monkeypatch.setattr(integrator, "_step_minus_one", no_step)
-        with pytest.raises(ValueError, match="drive amplitudes must be finite"):
-            integrate_sequence(ground_state(), seq, AtomParams(), dt=1e-12)
-
-    def test_too_many_emitted_states_refused_before_any_step(self, monkeypatch):
-        # about 1e20 steps of 1e-26 s over 1 us, one state every 1e9 of them
-        def no_step(*args):
-            raise AssertionError("stepped")
-
-        monkeypatch.setattr(integrator, "_step_minus_one", no_step)
-        seq = PulseSequence(pulses=(), t_end=1e-6)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="past the bound") as err:
-                integrate_sequence(
-                    ground_state(), seq, AtomParams(), dt=1e-26, sample_stride=10**9
-                )
+            with pytest.raises(ValueError, match=match) as err:
+                integrate_sequence(ground_state(), seq, AtomParams(), dt=dt, **kwargs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert int(re.search(r"emit (\d+) states", str(err.value))[1]) > 10**11
         assert peak < 1e6
+        return err.value
+
+    def test_non_finite_rabi_frequency_refused_before_any_step(self, monkeypatch):
+        # 1e300 rad over 0.1 ns is a Rabi frequency of inf rad/s
+        seq = self._square_pulse_seq(1e300, 1e-10)
+        self._refused_before_any_step(monkeypatch, "drive amplitudes must be finite", seq, 1e-12)
+
+    @pytest.mark.parametrize(
+        "match, dt, kwargs",
+        [
+            # 1e9 steps of 0.1 us over 100 s, past the 1 us pulse's bound of 10 ns
+            ("too coarse", 1e-7, {}),
+            # the stride cases would take 1e14 steps of 1 ps, and 5e-324 s is no step
+            ("must be an integer", 1e-12, {"sample_stride": 2.5}),
+            ("must be an integer", 1e-12, {"sample_stride": "1"}),
+            ("must be >= 1", 1e-12, {"sample_stride": 0}),
+            ("must be >= 1", 1e-12, {"sample_stride": -(10**30)}),
+            ("need finite t_end / dt", 5e-324, {}),
+        ],
+    )
+    def test_other_refusals_come_before_any_step(self, monkeypatch, match, dt, kwargs):
+        seq = self._square_pulse_seq(PI, 1e-6, t_end=100.0)
+        self._refused_before_any_step(monkeypatch, match, seq, dt, **kwargs)
+
+    def test_too_many_emitted_states_refused_before_any_step(self, monkeypatch):
+        # about 1e20 steps of 1e-26 s over 1 us, one state every 1e9 of them
+        seq = PulseSequence(pulses=(), t_end=1e-6)
+        err = self._refused_before_any_step(
+            monkeypatch, "past the bound", seq, 1e-26, sample_stride=10**9
+        )
+        assert int(re.search(r"emit (\d+) states", str(err))[1]) > 10**11
 
     def test_state_bound_counts_every_emitted_state(self, monkeypatch):
         # rho0, then 200, 100 and 100 steps of gap, pulse and tail, one state
@@ -346,17 +365,19 @@ class TestIntegrateSequence:
         assert {0.0, 1e-6, 2e-6} <= set(thin.tolist())
 
 
-def midpoint_segments(seq):
+def covering_segments(seq):
     """[0, t_end] cut at every pulse edge, each non-empty piece's drive found
-    by scanning every pulse at the piece's midpoint: (start, end, oj, ok)."""
+    by scanning every pulse for one that covers it: (start, end, oj, ok).
+
+    Not by the piece's midpoint: across a gap one float wide, the midpoint
+    rounds onto the next pulse's start."""
     edges = {0.0, seq.t_end, *(p.t_start for p in seq.pulses), *(p.t_end for p in seq.pulses)}
     cuts = sorted(edges)
     out = []
     for a, b in zip(cuts, cuts[1:]):
-        mid = 0.5 * (a + b)
         oj = ok = 0.0
         for p in seq.pulses:
-            if p.t_start <= mid < p.t_end:
+            if p.t_start <= a and b <= p.t_end:
                 if p.channel is Channel.OPTICAL12:
                     oj = p.rabi_frequency
                 else:
@@ -367,6 +388,20 @@ def midpoint_segments(seq):
 
 class TestSegments:
     @given(case=sequences("square"))
+    # a gap of one float between the last two pulses
+    @example(
+        case=(
+            PulseSequence(
+                pulses=(
+                    Pulse(Channel.OPTICAL12, 1.0, 0.0, duration=1.95e-06),
+                    Pulse(Channel.OPTICAL12, 1.0, 2.1499999999999997e-06, 1.6999999999999998e-06),
+                    Pulse(Channel.OPTICAL12, 1.0, 3.85e-06, duration=5e-07),
+                ),
+                t_end=4.350000000000001e-06,
+            ),
+            None,
+        )
+    )
     def test_walks_gaps_and_pulses(self, case):
         seq, _ = case
         pieces = list(_segments(seq))
@@ -381,8 +416,8 @@ class TestSegments:
             optical = p.channel is Channel.OPTICAL12
             assert (oj, ok) == ((p.rabi_frequency, 0.0) if optical else (0.0, p.rabi_frequency))
         assert all((oj, ok) == (0.0, 0.0) for _, _, oj, ok in gaps)
-        # the non-empty pieces are the edge-set cut with its midpoint drives
-        assert [piece for piece in pieces if piece[1] > piece[0]] == midpoint_segments(seq)
+        # the non-empty pieces are the edge-set cut with its covering drives
+        assert [piece for piece in pieces if piece[1] > piece[0]] == covering_segments(seq)
 
 
 def rk4_loop(rho0, seq, atom, dt, stride):
