@@ -189,6 +189,21 @@ def arguments(draw):
     return command, argv, command != "stages" and draw(st.booleans())
 
 
+def _well_formed(command: str, argv: list[str]) -> bool:
+    """Whether every required option is given and every number reads as its
+    type, so argparse has nothing to refuse."""
+    pairs, rest = [], iter(argv)
+    for arg in rest:
+        name, eq, value = arg.partition("=")
+        pairs.append((name, value if eq else next(rest)))
+    for name, value in pairs:
+        try:
+            {"--stage": str, "--varying": str, "--steps": int}.get(name, float)(value)
+        except ValueError:
+            return False
+    return {name for name, required in OPTIONS[command].items() if required} <= {n for n, _ in pairs}
+
+
 def _cells(lines: list[str], header: list[str]) -> list[list[float]]:
     """The rows below the header as finite floats, each as wide as the header."""
     assert lines[0].split(",") == header, lines[0]
@@ -248,7 +263,8 @@ def test_sweep_stages_and_propagate_exit_0_or_2_with_one_error_line(drawn, stale
         assert out == ""
         # a value argparse refuses prints its usage; one the run refuses, its code
         usage = rf"usage: cdrecho {command} .*\ncdrecho {command}: error: [^\n]*\n"
-        assert re.fullmatch(r"error: [A-Z_]+: [^\n]*\n", err) or re.fullmatch(usage, err, re.S), err
+        coded = re.fullmatch(r"error: [A-Z_]+: [^\n]*\n", err)
+        assert coded or (not _well_formed(command, argv) and re.fullmatch(usage, err, re.S)), err
         assert written == (STALE if stale else None)
     elif to_file:
         assert out == ""

@@ -4,9 +4,11 @@ import errno
 import math
 import os
 import shutil
+import json
 import signal
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdrecho import CsvWriteError, Table, cli, render_csv, write_csv
-from cdrecho.csvio import _format_float
+from cdrecho.csvio import _decimal, _format_float, _ladder, _mirrors, _runs, _template
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -92,6 +94,45 @@ def headed_tables(draw):
     meta = tuple(draw(st.lists(st.tuples(name, name), max_size=3)))
     rows = table.rows[: draw(st.sampled_from([0, table.rows.shape[0]]))]
     return Table(columns=columns, rows=rows, meta=meta)
+
+
+@st.composite
+def routed_tables(draw):
+    """Tables holding a decimal-grid column (K0 + step * row) / 10**d, a column
+    x and a column |x|, and one more, in a drawn column order, with the edges
+    of each route: cells nudged by 1 to 4 ulp or missed by 1e-13 relative, K
+    near 10**12, a first cell of +0.0 or -0.0, signed zeros in x, runs of x
+    that are held in both columns or only in |x|, and a |x| that differs at
+    one cell."""
+    n = draw(st.one_of(st.integers(1, 12), st.integers(60, 160)))
+    d = draw(st.integers(min_value=0, max_value=3))
+    k0 = draw(st.integers(0, 10**4)) if draw(st.integers(0, 3)) else draw(st.integers(10**12 - 10**4, 10**12 - 1))
+    step = draw(st.integers(min_value=-60, max_value=60))
+    k = np.clip(k0 + step * np.arange(n), 0, 10**12 - 1)
+    grid = k / 10.0**d
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=4)):
+        for _ in range(draw(st.integers(1, 4))):
+            grid[i] = np.nextafter(grid[i], draw(st.sampled_from([0.0, np.inf])))
+    if not draw(st.integers(0, 3)):
+        grid[draw(st.integers(0, n - 1))] *= 1.0 + 1e-13
+    grid[0] = draw(st.sampled_from([grid[0], 0.0, -0.0]))
+    x = np.array(draw(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 1.5, -1.5, 5e-324]), st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=n, max_size=n,
+    )))
+    for _ in range(draw(st.integers(0, 2))):  # a run of x, held in both columns
+        a = draw(st.integers(0, n - 1))
+        x[a : a + draw(st.integers(1, 12))] = draw(st.sampled_from([0.0, -0.0, -2.5]))
+    if draw(st.booleans()):  # +a, -a, +a, ...: a run of |x| alone
+        a = draw(st.integers(0, n - 1))
+        x[a : a + 8] = -2.5 * (-1.0) ** np.arange(x[a : a + 8].size)
+    mirror = np.abs(x)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        mirror[i] = draw(st.sampled_from([-mirror[i], np.nextafter(mirror[i], np.inf), 0.0]))
+    other = np.repeat(draw(st.lists(st.sampled_from(RUN_VALUES), min_size=n, max_size=n)), draw(st.sampled_from([1, 20])))[:n]
+    order = draw(st.permutations(range(4)))
+    return table_of(np.column_stack([grid, x, mirror, other])[:, order])
 
 
 class TestFormatFloat:
@@ -264,16 +305,123 @@ class TestRenderRuns:
     def test_one_row_and_one_column_tables(self, rows):
         assert render_csv(table_of(rows)) == per_cell(table_of(rows))
 
-    def test_cdr_echo_table_renders_as_per_cell_format_float(self, monkeypatch, capsys):
-        # the table `cdrecho echo --out` writes for the shipped cdr sequence
-        tables = []
-        monkeypatch.setattr(cli, "write_csv", lambda table, path: tables.append(table))
-        seq = str(ROOT / "sequences" / "cdr.json")
-        assert cli.cli_main(["echo", "--seq", seq, "--out", "unused.csv"]) == 0
-        capsys.readouterr()
-        (table,) = tables
-        assert table.rows.shape == (9001, 7)
+    @pytest.mark.parametrize("name", ["cdr.json", "dr.json", "wide-dr"])
+    def test_cdr_echo_table_renders_as_per_cell_format_float(self, name, tmp_path, monkeypatch, capsys):
+        # the table `cdrecho echo --out` writes for a shipped sequence, and for
+        # a hard dr sequence on a 2001-atom comb over 180 us
+        table = echo_table(name, tmp_path, monkeypatch, capsys)
+        assert table.rows.shape == ((18001, 7) if name == "wide-dr" else (9001, 7))
         assert render_csv(table) == per_cell(table)
+        # t_us prints as decimals, and abs_p mirrors im_p
+        held, first = _runs(table.rows)
+        assert _ladder(table.rows, held, first)[0] == 0
+        assert _mirrors(table.rows, held, 0) == {3: 2}
+
+    def test_cdr_echo_render_peaks_below_three_times_its_text(self, tmp_path, monkeypatch, capsys):
+        # the parent's render peaked at 2.94 times the text on this table
+        table = echo_table("cdr.json", tmp_path, monkeypatch, capsys)
+        render_csv(table)  # the import-time and first-call allocations come first
+        tracemalloc.start()
+        try:
+            text = render_csv(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.9 * len(text), peak / len(text)
+
+
+WIDE_DR = {  # hard dr pulses on a 2001-atom comb, 18001 samples
+    "pulses": [
+        {"channel": "optical12", "area_pi": 0.3, "t_start": 1.0, "duration": 0.0},
+        {"channel": "optical12", "area_pi": 1.0, "t_start": 20.0, "duration": 0.0},
+        {"channel": "optical12", "area_pi": 1.0, "t_start": 95.0, "duration": 0.0},
+    ],
+    "ensemble": {"sigma_hz": 1.0e6, "n_atoms": 2001, "span": 5.0},
+    "grid": {"t_end": 180.0, "dt": 0.01},
+}
+
+
+def echo_table(name: str, tmp_path, monkeypatch, capsys) -> Table:
+    """The table `cdrecho echo --out` writes for a shipped sequence or WIDE_DR."""
+    seq = ROOT / "sequences" / name
+    if name == "wide-dr":
+        seq = tmp_path / "wide-dr.json"
+        seq.write_text(json.dumps(WIDE_DR), encoding="utf-8")
+    tables = []
+    monkeypatch.setattr(cli, "write_csv", lambda table, path: tables.append(table))
+    assert cli.cli_main(["echo", "--seq", str(seq), "--out", "unused.csv"]) == 0
+    capsys.readouterr()
+    (table,) = tables
+    return table
+
+
+class TestRoutes:
+    """The decimal and mirror routes print the bytes of _format_float."""
+
+    @settings(max_examples=400)
+    @given(table=routed_tables())
+    def test_ladder_and_mirror_tables_render_as_per_cell_format_float(self, table):
+        assert render_csv(table) == per_cell(table)
+
+    @pytest.mark.parametrize(
+        "column",
+        [[0.0, 0.005, 0.01, 999999999.999], [3.0, 2.0, 7.0], [0.001, 0.1 + 0.2], [1e9 - 1e-3]],
+        ids=["thousandths", "unordered-integers", "sum-off-by-an-ulp", "top"],
+    )
+    def test_decimal_takes_grid_values(self, column):
+        k = _decimal(np.array(column))
+        assert k is not None
+        text = [b"%d" % (c // 1000) + (b".%03d" % (c % 1000)).rstrip(b"0").rstrip(b".") for c in k.tolist()]
+        assert text == [(_format_float(x)).encode() for x in column]
+
+    @pytest.mark.parametrize(
+        "column",
+        [[-0.0, 0.01], [0.0, -0.01], [5e-324], [0.0005], [1e9], [0.01 * (1 + 1e-13)], [0.1234567]],
+        ids=["negative-zero", "negative", "subnormal", "half-a-thousandth", "1e9", "near-miss", "digits"],
+    )
+    def test_decimal_refuses_other_values(self, column):
+        assert _decimal(np.array(column)) is None
+
+    @pytest.mark.parametrize("joins, route", [(10, 0), (11, -1)])
+    def test_ladder_pays_from_four_rows_a_join(self, joins, route):
+        # 48 rows in one stretch: 10 integer parts need 4 * (9 + 3) = 48 rows,
+        # 11 need 52
+        i = np.arange(48)
+        rows = np.column_stack([i * joins // 48 + i * 1e-3, i * 0.1 + 1e-7])
+        held, first = _runs(rows)
+        assert first.size == 1
+        assert _ladder(rows, held, first)[0] == route
+        assert _template([], rows)[0].count(b"%.12g") == (48 if route == 0 else 96)
+        assert render_csv(table_of(rows)) == per_cell(table_of(rows))
+
+    @pytest.mark.parametrize("run", [8, 12], ids=["stretches-cost-more", "stretches-pay"])
+    def test_ladder_counts_stretches(self, run):
+        # held runs in the second column cut the rows into stretches; with 8
+        # rows a stretch 4 * (0 + 3 * 12) = 144 > 96 rows, with 12 it is 96
+        rows = np.column_stack([np.arange(96) * 1e-3, np.repeat(np.arange(96 // run) + 0.5, run)])
+        held, first = _runs(rows)
+        assert _ladder(rows, held, first)[0] == (0 if run == 12 else -1)
+        assert render_csv(table_of(rows)) == per_cell(table_of(rows))
+
+    def test_mirror_keeps_the_sign_of_negative_zero(self):
+        x = np.array([-0.0, 0.0, -1.5, 2.5e-9, -0.0])
+        rows = np.column_stack([x, np.abs(x)])
+        held, _ = _runs(rows)
+        assert _mirrors(rows, held, -1) == {1: 0}
+        assert render_csv(table_of(rows)).splitlines()[1:] == ["-0,0", "0,0", "-1.5,1.5", "2.5e-09,2.5e-09", "-0,0"]
+
+    @pytest.mark.parametrize("where", ["held-in-one", "one-cell"])
+    def test_near_mirrors_are_not_mirrors(self, where):
+        x = np.linspace(-1.0, 1.0, 30)
+        if where == "held-in-one":
+            x[:8] = [2.0, -2.0] * 4  # |x| holds a run that x does not
+        target = np.abs(x)
+        if where == "one-cell":
+            target[17] = np.nextafter(target[17], 0.0)
+        rows = np.column_stack([x, target])
+        held, _ = _runs(rows)
+        assert _mirrors(rows, held, -1) == {}
+        assert render_csv(table_of(rows)) == per_cell(table_of(rows))
 
 
 class TestWriteCsv:
